@@ -38,7 +38,6 @@ from .errors import (
     NotUnitTraceError,
     ParseError,
     QssError,
-    SearchBudgetExhaustedError,
     StepTooLargeError,
     UsageError,
     ZeroComponentError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -23,6 +24,7 @@ from .dynamics import (
     SphereVector,
     Trajectory,
     TrajectoryMeta,
+    _step_schedule,
     ahle_closed_form,
     ahle_integrate,
     eahle_integrate,
@@ -55,7 +57,6 @@ class RunConfig:
     tangent_path: str | None = None
     n_values: tuple[int, ...] | None = None
     cases: int = 25
-    restarts: int = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,11 +64,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite decimal, got {text!r}")
+
+
 def _float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated decimals, got {text!r}")
+        return tuple(_finite_float(tok) for tok in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"{flag}: expected comma-separated finite decimals, got {text!r}")
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -85,8 +96,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         if with_traj:
-            p.add_argument("--dt", type=float, default=_DEFAULT_DT)
-            p.add_argument("--t-end", type=float, default=_DEFAULT_T_END)
+            p.add_argument("--dt", type=_finite_float, default=_DEFAULT_DT)
+            p.add_argument("--t-end", type=_finite_float, default=_DEFAULT_T_END)
             p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("geodesic", help="evaluate a closed-form geodesic on a time grid")
@@ -108,18 +119,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("closed-form", help="evaluate the sphere rule's exact solution")
     p.add_argument("--w0", required=True, help="start vector, comma-separated")
     p.add_argument("--c", required=True, help="coupling values, comma-separated")
-    p.add_argument("--t", type=float, required=True, help="evaluation time")
+    p.add_argument("--t", type=_finite_float, required=True, help="evaluation time")
     common(p, with_traj=False)
 
     p = sub.add_parser("verify", help="run the randomized verification suite")
     p.add_argument("--n", required=True, help="dimensions, comma-separated")
     p.add_argument("--cases", type=int, default=25, help="cases per dimension")
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=_DEFAULT_TOL)
     common(p)
 
-    p = sub.add_parser("probe", help="search for a flow realizing a random geodesic")
-    p.add_argument("--n", type=int, required=True, help="dimension (2..4)")
-    p.add_argument("--restarts", type=int, default=8)
+    p = sub.add_parser("probe", help="construct a flow realizing a random geodesic")
+    p.add_argument("--n", type=int, required=True, help="dimension, at least 2")
+    # The witness is closed-form, so there is nothing to restart; the flag is
+    # still accepted because existing invocations pass it.
+    p.add_argument("--restarts", type=int, default=8, help="ignored")
     common(p, with_traj=False)
 
     return parser
@@ -140,12 +153,15 @@ def parse_args(argv) -> RunConfig:
         tangent_path=getattr(ns, "x0", None),
         t=getattr(ns, "t", None),
         cases=getattr(ns, "cases", 25),
-        restarts=getattr(ns, "restarts", 8),
     )
     if getattr(ns, "c", None) is not None:
         config = replace(config, coupling=_float_list(ns.c, "--c"))
     if getattr(ns, "w0", None) is not None:
         config = replace(config, w0=_float_list(ns.w0, "--w0"))
+        try:
+            SphereVector(np.asarray(config.w0))
+        except ValueError as exc:
+            raise UsageError(f"--w0: {exc}")
     if ns.command == "verify":
         config = replace(config, n_values=_int_list(ns.n, "--n"))
     elif ns.command == "probe":
@@ -168,12 +184,12 @@ def parse_args(argv) -> RunConfig:
         raise UsageError(f"--tol must be positive, got {config.tol}")
     if config.cases <= 0:
         raise UsageError(f"--cases must be positive, got {config.cases}")
-    if config.restarts <= 0:
-        raise UsageError(f"--restarts must be positive, got {config.restarts}")
+    if getattr(ns, "restarts", 1) <= 0:
+        raise UsageError(f"--restarts must be positive, got {ns.restarts}")
     if config.n_values is not None and any(n < 2 for n in config.n_values):
         raise UsageError("--n: every dimension must be at least 2")
-    if config.command == "probe" and not 2 <= config.n <= 4:
-        raise UsageError(f"--n must be in 2..4 for probe, got {config.n}")
+    if config.command == "probe" and config.n < 2:
+        raise UsageError(f"--n must be at least 2 for probe, got {config.n}")
     if config.command == "geodesic" and (config.tangent_path is None) == (
         config.coupling is None
     ):
@@ -189,16 +205,6 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _grid_times(t_end: float, dt: float) -> np.ndarray:
-    n_full = int(np.floor(t_end / dt + 1e-9))
-    times = [i * dt for i in range(n_full + 1)]
-    if t_end - n_full * dt > 1e-9 * dt:
-        times.append(t_end)
-    else:
-        times[-1] = t_end
-    return np.asarray(times)
-
-
 def _cmd_geodesic(config: RunConfig) -> int:
     rho0 = make_density(io.load_matrix(config.input_path))
     if config.coupling is not None:
@@ -209,7 +215,7 @@ def _cmd_geodesic(config: RunConfig) -> int:
         x0 = TangentVector(io.load_matrix(config.tangent_path), rho0)
         coupling_meta = ()
     spec = GeodesicSpec(rho0, x0)
-    times = _grid_times(config.t_end, config.dt)
+    _, times = _step_schedule(config.t_end, config.dt)
     states = tuple(e_geodesic(spec, t) for t in times)
     traj = Trajectory(times, states, TrajectoryMeta("exact", config.dt, coupling_meta, config.seed))
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
@@ -252,7 +258,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_probe(config: RunConfig) -> int:
     spec = random_geodesic_spec(config.n, config.seed)
-    result = conjecture_probe(spec, config.restarts, config.seed)
+    result = conjecture_probe(spec)
     payload = io.probe_result_to_dict(result)
     payload["seed"] = config.seed
     _write_text(config.output_path, json.dumps(payload, indent=2) + "\n")

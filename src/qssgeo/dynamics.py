@@ -190,7 +190,12 @@ def hebbian_initial_tangent(rho0: DensityMatrix, coupling: CouplingSpectrum) -> 
     return eahle_field(rho0, coupling)
 
 
-def _step_schedule(t_end: float, dt: float) -> list[float]:
+def _step_schedule(t_end: float, dt: float) -> tuple[list[float], list[float]]:
+    """Step sizes and the grid times from 0 to ``t_end`` that they land on.
+
+    Full steps of ``dt``, then a shortened last step when t_end / dt is not
+    integral; the last grid time is exactly ``t_end`` either way.
+    """
     if t_end <= 0:
         raise InvalidStepError(f"t_end must be positive, got {t_end}")
     if dt <= 0 or dt > t_end:
@@ -200,7 +205,8 @@ def _step_schedule(t_end: float, dt: float) -> list[float]:
     steps = [dt] * n_full
     if remainder > 1e-9 * dt:
         steps.append(remainder)
-    return steps
+    times = [i * dt for i in range(len(steps))] + [t_end]
+    return steps, times
 
 
 def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
@@ -231,25 +237,21 @@ def eahle_integrate(
             f"state dimension {rho0.dim} != coupling dimension {coupling.dim}"
         )
     c = coupling.values
-    steps = _step_schedule(t_end, dt)
-    times = [0.0]
+    steps, times = _step_schedule(t_end, dt)
     states = [rho0]
     y = rho0.entries
-    t = 0.0
 
     def rhs(a):
         return _eahle_rhs(a, c)
 
-    for i, h in enumerate(steps):
+    for h, t in zip(steps, times[1:]):
         y = _rk4_step(rhs, y, h)
         y = hermitian_part(y)
         y = y / np.trace(y).real
-        t = t_end if i == len(steps) - 1 else (i + 1) * dt
         try:
             state = DensityMatrix(y)
         except NotPositiveDefiniteError as exc:
             raise StepTooLargeError(t, exc.min_eigenvalue) from exc
-        times.append(t)
         states.append(state)
         y = state.entries
     meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()), seed)
@@ -280,19 +282,16 @@ def ahle_integrate(
             f"vector dimension {w0.dim} != coupling dimension {coupling.dim}"
         )
     c = coupling.values
-    steps = _step_schedule(t_end, dt)
-    times = [0.0]
+    steps, times = _step_schedule(t_end, dt)
     states = [w0]
     v = w0.values
 
     def rhs(u):
         return c * u - float(u @ (c * u)) * u
 
-    for i, h in enumerate(steps):
+    for h in steps:
         v = _rk4_step(rhs, v, h)
         v = v / np.linalg.norm(v)
-        t = t_end if i == len(steps) - 1 else (i + 1) * dt
-        times.append(t)
         states.append(SphereVector(v))
     meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()), seed)
     return Trajectory(np.asarray(times), tuple(states), meta)

@@ -95,14 +95,6 @@ class ZeroComponentError(QssError):
         self.value = value
 
 
-class SearchBudgetExhaustedError(QssError):
-    """Raised when a probe's evaluation budget runs out; carries the best result so far."""
-
-    def __init__(self, best):
-        super().__init__("search budget exhausted before all restarts completed")
-        self.best = best
-
-
 class ParseError(QssError):
     pass
 

@@ -279,7 +279,9 @@ def sld(rho: DensityMatrix, x: TangentVector) -> SldMatrix:
     theta = e.eigenvalues
     xt = _to_eigenbasis(e, x.entries)
     lt = 2.0 * xt / (theta[:, None] + theta[None, :])
-    return SldMatrix(_from_eigenbasis(e, lt), rho)
+    # Small eigenvalues amplify roundoff in the product; the exact result is
+    # Hermitian, so symmetrize it here rather than fail SldMatrix's check.
+    return SldMatrix(hermitian_part(_from_eigenbasis(e, lt)), rho)
 
 
 def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:

@@ -11,10 +11,11 @@ A companion check does the same on the sphere: RK4 against the exponential
 closed form, and the squared coordinates against the diagonal of the
 matching geodesic.
 
-The conjecture probe searches for a coupling spectrum, a special-unitary
-conjugation, and an affine time map that carry a flow trajectory onto an
-arbitrary target geodesic.  It reports its best residual as exploratory
-evidence only; nothing gates on it.
+The conjecture probe runs the converse: for an arbitrary target geodesic it
+builds a coupling spectrum, a special-unitary conjugation and an affine time
+map that carry a flow trajectory onto it.  The witness is the eigenbasis of
+the initial SLD with half its eigenvalues as the coupling, so the probe is a
+closed-form construction for any dimension, and its residual is roundoff.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import (
     CouplingSpectrum,
@@ -33,9 +33,8 @@ from .dynamics import (
     hebbian_initial_tangent,
     sphere_to_simplex,
 )
-from .errors import SearchBudgetExhaustedError
 from .geometry import GeodesicSpec, e_geodesic
-from .qss import TOL_HERM, frobenius, hermitian_part, make_density, random_density
+from .qss import TOL_HERM, frobenius, make_density, random_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +65,7 @@ class VerificationReport:
 
 @dataclass(frozen=True, eq=False)
 class ConjectureProbeResult:
-    """Best witness found by the probe: coupling, SU(n) element, affine time map."""
+    """The probe's witness: coupling, SU(n) element, affine time map, residual."""
 
     target_spec: GeodesicSpec
     best_coupling: CouplingSpectrum
@@ -209,134 +208,38 @@ def suite_summary(reports) -> str:
     return f"PASS {n_pass}/{len(reports)} (max dev = {max_dev:.6e})"
 
 
-def _su_generators(n: int) -> list[np.ndarray]:
-    # Anti-Hermitian traceless basis: n^2 - 1 generators.
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = -1.0
-            gens.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0j
-            m[k, j] = 1.0j
-            gens.append(m)
-    for j in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1.0j
-        m[j + 1, j + 1] = -1.0j
-        gens.append(m)
-    return gens
+def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResult:
+    """Realize the target geodesic as a learning-flow trajectory, up to symmetry.
 
+    The witness is constructive.  Write the SLD of the target's initial
+    tangent as L = u diag(lam) u^H, with the eigenbasis u rescaled by a phase
+    to determinant 1.  In the frame u the flow with coupling c = lam / 2,
+    started at u^H rho0 u, is E rho E / Tr(E rho E) with E = exp(t diag(c)):
+    the geodesic exp(t L/2) rho0 exp(t L/2) / Tr(...) seen in that frame,
+    under the identity time map (a, b) = (1, 0).  This holds in every
+    dimension.
 
-def _unitary_exp(a: np.ndarray) -> np.ndarray:
-    # exp of an anti-Hermitian matrix via the spectral form of -i a.
-    h = hermitian_part(-1j * a)
-    mu, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * mu)) @ v.conj().T
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def conjecture_probe(
-    spec: GeodesicSpec,
-    n_restarts: int,
-    seed: int,
-    time_grid=None,
-    max_evals: int | None = None,
-) -> ConjectureProbeResult:
-    """Search for a flow trajectory matching the target geodesic up to symmetry.
-
-    Direct (Nelder-Mead) multi-start search over a coupling spectrum (n
-    reals), a special-unitary conjugation (exponential of an anti-Hermitian
-    traceless matrix, left-translated by the SLD eigenbasis so the analytic
-    witness is the first start), and an affine time map (a, b) with a > 0.
-    The candidate flow starts from the conjugated target start point, so the
-    time offset b is redundant for these autonomous flows and ends near zero.
-
-    Exploratory only: returns the best residual found; no pass/fail.
+    The residual is the largest Frobenius gap between the flow's closed form,
+    conjugated back, and :func:`e_geodesic` on ``time_grid`` (17 points on
+    [0, 1] by default); it measures roundoff only.
     """
-    n = spec.dim
-    if n > 4:
-        raise ValueError(f"probe is limited to dimension <= 4, got {n}")
     if time_grid is None:
         time_grid = np.linspace(0.0, 1.0, 17)
-    time_grid = np.asarray(time_grid, dtype=float)
-    targets = [e_geodesic(spec, t).entries for t in time_grid]
-    rho_start = spec.start.entries
-
-    lam, v0 = spec._sld_eig
-    det_phase = np.linalg.det(v0)
-    v0 = v0 * det_phase ** (-1.0 / n)
-    gens = _su_generators(n)
-    n_su = len(gens)
-
-    def unpack(p):
-        c = p[:n]
-        a_mat = np.zeros((n, n), dtype=complex)
-        for coef, g in zip(p[n : n + n_su], gens):
-            a_mat += coef * g
-        u = v0 @ _unitary_exp(a_mat)
-        return c, u, float(np.exp(p[-2])), float(p[-1])
-
-    evals = 0
-
-    def objective(p):
-        nonlocal evals
-        if max_evals is not None and evals >= max_evals:
-            raise _BudgetExceeded
-        evals += 1
-        c, u, a, b = unpack(p)
-        rho_hat = u.conj().T @ rho_start @ u
-        worst = 0.0
-        for t, target in zip(time_grid, targets):
-            expo = (a * t + b) * c
-            scale = np.exp(expo - expo.max())
-            m = rho_hat * scale[:, None] * scale[None, :]
-            m = m / np.trace(m).real
-            worst = max(worst, frobenius(u @ m @ u.conj().T - target))
-        return worst
-
-    def result_from(p, residual):
-        c, u, a, b = unpack(p)
-        return ConjectureProbeResult(
-            target_spec=spec,
-            best_coupling=CouplingSpectrum(c),
-            best_unitary=u,
-            best_time_affine=(a, b),
-            residual=float(residual),
-        )
-
-    rng = np.random.default_rng(seed)
-    n_params = n + n_su + 2
-    starts = [np.concatenate([0.5 * lam, np.zeros(n_su + 2)])]
-    for _ in range(max(0, n_restarts - 1)):
-        p = np.concatenate(
-            [
-                rng.uniform(-2.0, 2.0, n),
-                rng.normal(0.0, 0.5, n_su),
-                [rng.normal(0.0, 0.3), rng.normal(0.0, 0.2)],
-            ]
-        )
-        starts.append(p)
-
-    best_p, best_val = starts[0], np.inf
-    try:
-        for p0 in starts:
-            val0 = objective(p0)
-            if val0 < best_val:
-                best_p, best_val = p0, val0
-            res = minimize(
-                objective,
-                p0,
-                method="Nelder-Mead",
-                options={"maxfev": 200 * n_params, "xatol": 1e-10, "fatol": 1e-13},
-            )
-            if res.fun < best_val:
-                best_p, best_val = res.x, float(res.fun)
-    except _BudgetExceeded:
-        raise SearchBudgetExhaustedError(result_from(best_p, best_val)) from None
-    return result_from(best_p, best_val)
+    lam, v = spec._sld_eig
+    u = v * np.linalg.det(v) ** (-1.0 / spec.dim)
+    c = 0.5 * lam
+    rho_hat = u.conj().T @ spec.start.entries @ u
+    residual = 0.0
+    for t in np.asarray(time_grid, dtype=float):
+        expo = t * c
+        scale = np.exp(expo - expo.max())
+        m = rho_hat * scale[:, None] * scale[None, :]
+        flow = u @ (m / np.trace(m).real) @ u.conj().T
+        residual = max(residual, frobenius(flow - e_geodesic(spec, t).entries))
+    return ConjectureProbeResult(
+        target_spec=spec,
+        best_coupling=CouplingSpectrum(c),
+        best_unitary=u,
+        best_time_affine=(1.0, 0.0),
+        residual=residual,
+    )

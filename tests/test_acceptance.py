@@ -247,12 +247,12 @@ def test_criterion_10_conjecture_probe_report():
     residuals = []
     for k in range(20):
         spec = q.random_geodesic_spec(2, 100_000 + k)
-        result = q.conjecture_probe(spec, n_restarts=2, seed=k)
+        result = q.conjecture_probe(spec)
         residuals.append(result.residual)
     residuals = np.asarray(residuals)
-    ok = bool(np.all(np.isfinite(residuals)))
+    ok = bool(np.all(residuals <= 1e-12))
     _announce(
-        "10 conjecture probe (non-gating)",
+        "10 conjecture probe",
         ok,
         f"20 generic 2x2 targets: residuals max {residuals.max():.3e}, "
         f"median {np.median(residuals):.3e}",

@@ -1,10 +1,14 @@
 """Tests for argument parsing, command dispatch, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qssgeo
 from qssgeo import io
 from qssgeo.cli import main, parse_args, run
 from qssgeo.errors import UsageError
@@ -184,9 +188,67 @@ def test_probe_command(tmp_path, capsys):
     assert "probe best residual" in capsys.readouterr().out
 
 
-def test_run_rejects_probe_dimension():
-    with pytest.raises(UsageError, match="--n"):
-        parse_args(["probe", "--n", "6"])
+def test_probe_any_dimension_from_two(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--n", "8", "--seed", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n"] == 8
+    assert payload["residual"] <= 1e-12
+    assert main(["probe", "--n", "1"]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def _env_with_package():
+    src = os.path.dirname(os.path.dirname(qssgeo.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ahle", "--c=nan,0", "--w0", "0.6,0.8"],
+        ["ahle", "--w0", "1,1", "--c", "1,0"],
+        ["ahle", "--w0", "0.6,0.8", "--c", "1,0", "--dt", "nan"],
+        ["eahle", "--rho0", "rho.json", "--c", "1,0", "--t-end", "inf"],
+        ["closed-form", "--w0", "0.6,0.8", "--c", "1,-inf", "--t", "1"],
+        ["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "nan"],
+        ["verify", "--n", "2", "--tol", "nan"],
+        ["probe", "--n", "2", "--restarts", "0"],
+    ],
+)
+def test_bad_number_is_usage_error(argv):
+    # run as a subprocess so an uncaught exception would show as a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "qssgeo.cli", *argv],
+        capture_output=True, text=True, env=_env_with_package(), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_geodesic_and_eahle_share_time_grid(tmp_path):
+    rho_path = tmp_path / "rho.json"
+    io.save_matrix(str(rho_path), np.diag([0.6, 0.4]))
+    # t_end / dt = 3.3: three full steps and a shortened last one
+    base = ["--rho0", str(rho_path), "--c", "0.5,-0.5", "--t-end", "0.33", "--dt", "0.1"]
+    columns = []
+    for command in ("eahle", "geodesic"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *base, "--out", str(out)]) == 0
+        columns.append([line.split(",", 1)[0] for line in out.read_text().splitlines()[1:]])
+    assert columns[0] == columns[1]
+    assert [float(t) for t in columns[0]] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.33])
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qssgeo, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=_env_with_package(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_config_is_usable_directly(tmp_path):

@@ -107,7 +107,7 @@ def test_probe_result_json():
     rho = q.random_density(2, 1)
     c = q.CouplingSpectrum(np.array([0.5, -0.5]))
     spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, c))
-    result = q.conjecture_probe(spec, n_restarts=1, seed=0)
+    result = q.conjecture_probe(spec)
     d = io.probe_result_to_dict(result)
     assert d["n"] == 2
     assert d["residual"] <= 1e-6

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import qssgeo as q
-from qssgeo.errors import SearchBudgetExhaustedError
 from qssgeo.verify import suite_summary
 
 
@@ -98,6 +97,14 @@ def test_run_suite_small_multi_n():
     assert suite_summary(reports).startswith("PASS 8/8")
 
 
+def test_run_suite_nearly_singular_state_at_n64():
+    # draws random_density(64, 1944302307), smallest eigenvalue 5e-10; the
+    # SLD's spectral product must come back Hermitian, not fail validation
+    reports = q.run_suite((32, 64), 1, seed=749289798)
+    assert len(reports) == 4
+    assert all(r.passed for r in reports)
+
+
 def test_run_suite_full_scale():
     reports = q.run_suite([2, 3, 4, 6], 25, seed=42)
     assert len(reports) == 200
@@ -126,7 +133,7 @@ def test_probe_flow_form_witness():
     rho = q.random_density(2, 1)
     c = coupling(0.7, -0.3)
     spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, c))
-    result = q.conjecture_probe(spec, n_restarts=2, seed=0)
+    result = q.conjecture_probe(spec)
     assert result.residual <= 1e-6
     a, b = result.best_time_affine
     assert a > 0
@@ -135,7 +142,7 @@ def test_probe_flow_form_witness():
 def test_probe_zero_tangent():
     rho = q.random_density(2, 4)
     spec = q.GeodesicSpec(rho, q.TangentVector(np.zeros((2, 2)), rho))
-    result = q.conjecture_probe(spec, n_restarts=1, seed=0)
+    result = q.conjecture_probe(spec)
     assert result.residual <= 1e-12
 
 
@@ -143,7 +150,7 @@ def test_probe_generic_target_reported():
     # a target whose SLD is not diagonal in the standard basis; the residual
     # is recorded as evidence, not asserted against a threshold
     spec = q.random_geodesic_spec(2, 9)
-    result = q.conjecture_probe(spec, n_restarts=2, seed=1)
+    result = q.conjecture_probe(spec)
     print(f"\nprobe residual on generic 2x2 target: {result.residual:.3e}")
     assert np.isfinite(result.residual)
     u = result.best_unitary
@@ -151,14 +158,8 @@ def test_probe_generic_target_reported():
     assert abs(np.linalg.det(u) - 1) <= q.TOL_HERM
 
 
-def test_probe_budget_exhaustion():
-    spec = q.random_geodesic_spec(2, 9)
-    with pytest.raises(SearchBudgetExhaustedError) as exc:
-        q.conjecture_probe(spec, n_restarts=4, seed=1, max_evals=40)
-    assert np.isfinite(exc.value.best.residual)
-
-
-def test_probe_rejects_large_dimension():
-    spec = q.random_geodesic_spec(5, 2)
-    with pytest.raises(ValueError):
-        q.conjecture_probe(spec, n_restarts=1, seed=0)
+def test_probe_witness_beyond_dimension_four():
+    for n in (5, 8):
+        result = q.conjecture_probe(q.random_geodesic_spec(n, 2))
+        assert result.residual <= 1e-12
+        assert result.best_time_affine == (1.0, 0.0)
