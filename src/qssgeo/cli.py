@@ -24,6 +24,7 @@ from .dynamics import (
     SphereVector,
     Trajectory,
     TrajectoryMeta,
+    _StateStack,
     _step_schedule,
     ahle_closed_form,
     ahle_integrate,
@@ -31,7 +32,7 @@ from .dynamics import (
     hebbian_initial_tangent,
 )
 from .errors import ParseError, QssError, UsageError
-from .geometry import GeodesicSpec, e_geodesic, random_geodesic_spec
+from .geometry import GeodesicSpec, _geodesic_curves, random_geodesic_spec
 from .qss import TangentVector, make_density
 from .verify import conjecture_probe, run_suite, suite_summary
 
@@ -216,7 +217,7 @@ def _cmd_geodesic(config: RunConfig) -> int:
         coupling_meta = ()
     spec = GeodesicSpec(rho0, x0)
     _, times = _step_schedule(config.t_end, config.dt)
-    states = tuple(e_geodesic(spec, t) for t in times)
+    states = _StateStack(_geodesic_curves([spec], times)[0])
     traj = Trajectory(times, states, TrajectoryMeta("exact", config.dt, coupling_meta, config.seed))
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
     return 0
@@ -289,6 +290,11 @@ def run(config: RunConfig) -> int:
     except QssError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # A time grid or trajectory larger than memory is a usage error:
+        # numpy refuses the allocation before any of it is made.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

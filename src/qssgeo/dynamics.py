@@ -17,13 +17,15 @@ theta_j = w_j^2 it is equivalent to Oja's rule on the unit sphere,
 
 Both flows admit closed-form solutions (exponential reweighting of the
 initial coordinates followed by renormalization), implemented here alongside
-fixed-step RK4 integrators.  The integrators never project onto the state
-space: positivity is monitored each step and its loss is a hard error, since
-the exact flow provably stays inside.
+fixed-step RK4 integrators.  The integrators run B cases at once over a batch
+axis; the public ones are that kernel run with a batch of one.  They never
+project onto the state space: positivity is monitored each step and its loss
+is a hard error, since the exact flow provably stays inside.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +37,48 @@ from .errors import (
     StepTooLargeError,
     ZeroComponentError,
 )
-from .qss import TOL_TRACE, DensityMatrix, TangentVector, hermitian_part
+from .qss import (
+    TOL_TRACE,
+    DensityMatrix,
+    _BLOCK_BYTES,
+    TangentVector,
+    _check_states,
+    _exp_weights,
+    _unchecked,
+)
 
 TOL_SPHERE = 1e-10
 # Below this magnitude the sign of a sphere coordinate is numerically meaningless.
 TOL_ZERO = 1e-12
+
+
+def _vector(values, dtype=float) -> np.ndarray:
+    """A read-only 1-d copy of ``values``; non-finite entries are rejected."""
+    v = np.array(values, dtype=dtype)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    v.setflags(write=False)
+    return v
+
+
+def _unit_failure(v: np.ndarray):
+    """``None`` when every row of the (B, n) stack is a finite unit vector.
+
+    Otherwise ``(index, ValueError)`` for the first row that is not.
+    """
+    norm_dev = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+    ok = np.isfinite(v).all(axis=-1) & (norm_dev <= TOL_SPHERE)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    return i, ValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[i]:.6e}")
+
+
+def _check_dims(a, b, what: str) -> None:
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"{what} dimension {a.dim} != coupling dimension {b.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +88,7 @@ class CouplingSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coupling values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _vector(self.values))
 
     @property
     def dim(self) -> int:
@@ -70,14 +102,10 @@ class SphereVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-        norm_dev = abs(float(np.linalg.norm(v)) - 1.0)
-        if norm_dev > TOL_SPHERE:
-            raise ValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev:.6e}")
-        v = v.copy()
-        v.setflags(write=False)
+        v = _vector(self.values)
+        failure = _unit_failure(v[None])
+        if failure is not None:
+            raise failure[1]
         object.__setattr__(self, "values", v)
 
     @property
@@ -92,13 +120,9 @@ class SignVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=int)
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+        v = _vector(self.values, dtype=int)
         if not np.all(np.abs(v) == 1):
             raise ValueError("sign entries must be exactly +1 or -1")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -113,16 +137,12 @@ class SimplexPoint:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+        v = _vector(self.values)
         if not np.all(v > 0):
             raise ValueError("simplex coordinates must be strictly positive")
         sum_dev = abs(float(v.sum()) - 1.0)
         if sum_dev > TOL_TRACE:
             raise ValueError(f"simplex coordinates must sum to 1: deviation {sum_dev:.6e}")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -138,32 +158,84 @@ class TrajectoryMeta:
     seed: int | None = None
 
 
+class _StateStack(Sequence):
+    """Validated states held as one read-only array.
+
+    The array is (T, n, n) for density matrices and (T, n) for sphere
+    vectors; items are state objects built on access, without validating
+    again.
+    """
+
+    def __init__(self, array: np.ndarray):
+        array.setflags(write=False)
+        self.array = array
+
+    @classmethod
+    def of(cls, states) -> _StateStack:
+        states = list(states)
+        if states and all(isinstance(s, DensityMatrix) for s in states):
+            return cls(np.stack([s.entries for s in states]))
+        if states and all(isinstance(s, SphereVector) for s in states):
+            return cls(np.stack([s.values for s in states]))
+        raise ValueError("states must be all density matrices or all sphere vectors")
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        if self.array.ndim == 3:
+            return _unchecked(DensityMatrix, entries=self.array[i])
+        return _unchecked(SphereVector, values=self.array[i])
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid plus the states stored at every grid point."""
+    """Time grid plus the state at every grid point, held as one read-only array.
+
+    ``states`` is given as a sequence of :class:`DensityMatrix` or of
+    :class:`SphereVector` objects.  The trajectory keeps ``array``, shaped
+    (T, n, n) or (T, n), and ``states`` becomes a read-only sequence that
+    builds each state object from it on access.
+    """
 
     times: np.ndarray
-    states: tuple
+    states: Sequence
     meta: TrajectoryMeta
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.states):
+        states = self.states
+        if not isinstance(states, _StateStack):
+            states = _StateStack.of(states)
+        t = np.array(self.times, dtype=float)
+        if t.ndim != 1 or len(t) != len(states):
             raise ValueError("times and states must be equal-length 1-d sequences")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", states)
+
+    @property
+    def array(self) -> np.ndarray:
+        return self.states.array
 
     def __len__(self) -> int:
         return len(self.states)
 
 
 def _eahle_rhs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # rho C + C rho - 2 Tr(C rho) rho, with C = diag(c).
-    return a * c[None, :] + c[:, None] * a - (2.0 * float(c @ a.diagonal().real)) * a
+    # rho C + C rho - 2 Tr(C rho) rho, with C = diag(c); for one state or a
+    # (B, n, n) stack with (B, n) couplings.
+    tr_c_rho = np.einsum("...j,...jj->...", c, a).real
+    return a * (c[..., :, None] + c[..., None, :] - 2.0 * tr_c_rho[..., None, None])
+
+
+def _ahle_rhs(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # C w - (w^T C w) w, for one vector or a (B, n) stack.
+    cw = c * w
+    return cw - (w * cw).sum(axis=-1, keepdims=True) * w
 
 
 def eahle_field(rho: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector:
@@ -172,10 +244,7 @@ def eahle_field(rho: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector
     Hermitian and traceless by construction: Tr(rho C + C rho) = 2 Tr(C rho)
     cancels the normalization term exactly.
     """
-    if rho.dim != coupling.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} != coupling dimension {coupling.dim}"
-        )
+    _check_dims(rho, coupling, "state")
     return TangentVector(_eahle_rhs(rho.entries, coupling.values), rho)
 
 
@@ -190,11 +259,12 @@ def hebbian_initial_tangent(rho0: DensityMatrix, coupling: CouplingSpectrum) -> 
     return eahle_field(rho0, coupling)
 
 
-def _step_schedule(t_end: float, dt: float) -> tuple[list[float], list[float]]:
+def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Step sizes and the grid times from 0 to ``t_end`` that they land on.
 
     Full steps of ``dt``, then a shortened last step when t_end / dt is not
-    integral; the last grid time is exactly ``t_end`` either way.
+    integral; the last grid time is exactly ``t_end`` either way.  A grid
+    too large for memory raises MemoryError when its arrays are allocated.
     """
     if t_end <= 0:
         raise InvalidStepError(f"t_end must be positive, got {t_end}")
@@ -202,19 +272,100 @@ def _step_schedule(t_end: float, dt: float) -> tuple[list[float], list[float]]:
         raise InvalidStepError(f"dt must satisfy 0 < dt <= t_end, got dt={dt}")
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
-    steps = [dt] * n_full
-    if remainder > 1e-9 * dt:
-        steps.append(remainder)
-    times = [i * dt for i in range(len(steps))] + [t_end]
+    steps = np.full(n_full + (remainder > 1e-9 * dt), float(dt))
+    steps[n_full:] = remainder
+    times = np.arange(len(steps) + 1) * float(dt)
+    times[-1] = t_end
     return steps, times
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_blocks(field, renormalize, y0: np.ndarray, c: np.ndarray, steps, times):
+    """Classical RK4 from each of the B initial values ``y0`` under the couplings ``c`` (B, n).
+
+    Yields ``(slice of times, (B', t, ...) states)`` in blocks of at most
+    _BLOCK_BYTES of states, starting with y0, so a caller can consume a
+    trajectory without holding all of it.  ``renormalize(y, t)`` maps the
+    states after a step back to the state space and returns them with
+    ``None``, or with ``(index, error)`` for the first state that is no
+    longer valid.  The error raised is the one the cases would raise if run
+    one after another: a failing case and the cases after it are dropped (B'
+    counts the cases still running), the earlier ones run on, and the first
+    case that ever failed gives the error, once the blocks are exhausted.
+    """
+    size = max(1, _BLOCK_BYTES // y0.nbytes)
+    y, error = y0, None
+    for lo in range(0, len(times), size):
+        hi = min(lo + size, len(times))
+        block = np.empty((len(y), hi - lo) + y.shape[1:], dtype=y.dtype)
+        for s in range(lo, hi):
+            if s:
+                h = steps[s - 1]
+                k1 = field(y, c)
+                k2 = field(y + 0.5 * h * k1, c)
+                k3 = field(y + 0.5 * h * k2, c)
+                k4 = field(y + h * k3, c)
+                y, failure = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
+                if failure is not None:
+                    i, error = failure
+                    y, c, block = y[:i], c[:i], block[:i]
+                    if not i:
+                        break
+            block[:, s - lo] = y
+        yield slice(lo, hi), block
+        if not len(y):
+            break
+    if error is not None:
+        raise error
+
+
+def _renormalize_states(y: np.ndarray, t: float):
+    y = y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None]
+    y, failure = _check_states(y)
+    if failure is not None and isinstance(failure[1], NotPositiveDefiniteError):
+        i, cause = failure
+        error = StepTooLargeError(float(t), cause.min_eigenvalue)
+        error.__cause__ = cause
+        failure = i, error
+    return y, failure
+
+
+def _renormalize_vectors(v: np.ndarray, t: float):
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v, _unit_failure(v)
+
+
+def _eahle_blocks(rho0: np.ndarray, c: np.ndarray, steps, times):
+    """:func:`_rk4_blocks` of the matrix flow: (B, n, n) states, (B, n) couplings.
+
+    Every step renormalizes the trace and checks all B states as density
+    matrices while they are still in cache; loss of positive-definiteness
+    raises :class:`StepTooLargeError` with the offending time.
+    """
+    return _rk4_blocks(_eahle_rhs, _renormalize_states, rho0, c, steps, times)
+
+
+def _ahle_blocks(w0: np.ndarray, c: np.ndarray, steps, times):
+    """:func:`_rk4_blocks` of the sphere rule: (B, n) starts and couplings."""
+    return _rk4_blocks(_ahle_rhs, _renormalize_vectors, w0, c, steps, times)
+
+
+def _integrate_batch(blocks, y0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
+    """The grid times and all (B, T, ...) states that ``blocks`` integrates from ``y0``."""
+    steps, times = _step_schedule(t_end, dt)
+    out = np.empty((len(y0), len(times)) + y0.shape[1:], dtype=y0.dtype)
+    for block, states in blocks(y0, c, steps, times):
+        out[: len(states), block] = states
+    return times, out
+
+
+def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
+    """RK4 of the matrix flow for B cases at once: times and (B, T, n, n) states."""
+    return _integrate_batch(_eahle_blocks, rho0, c, t_end, dt)
+
+
+def _ahle_integrate_batch(w0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
+    """RK4 of the sphere rule for B cases at once: times and (B, T, n) states."""
+    return _integrate_batch(_ahle_blocks, w0, c, t_end, dt)
 
 
 def eahle_integrate(
@@ -232,41 +383,17 @@ def eahle_integrate(
     density matrix; loss of positive-definiteness raises
     :class:`StepTooLargeError` with the offending time.
     """
-    if rho0.dim != coupling.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho0.dim} != coupling dimension {coupling.dim}"
-        )
+    _check_dims(rho0, coupling, "state")
     c = coupling.values
-    steps, times = _step_schedule(t_end, dt)
-    states = [rho0]
-    y = rho0.entries
-
-    def rhs(a):
-        return _eahle_rhs(a, c)
-
-    for h, t in zip(steps, times[1:]):
-        y = _rk4_step(rhs, y, h)
-        y = hermitian_part(y)
-        y = y / np.trace(y).real
-        try:
-            state = DensityMatrix(y)
-        except NotPositiveDefiniteError as exc:
-            raise StepTooLargeError(t, exc.min_eigenvalue) from exc
-        states.append(state)
-        y = state.entries
+    times, states = _eahle_integrate_batch(rho0.entries[None], c[None], t_end, dt)
     meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()), seed)
-    return Trajectory(np.asarray(times), tuple(states), meta)
+    return Trajectory(times, _StateStack(states[0]), meta)
 
 
 def ahle_field(w: SphereVector, coupling: CouplingSpectrum) -> np.ndarray:
     """Vector field of the sphere learning rule: C w - (w^T C w) w."""
-    if w.dim != coupling.dim:
-        raise DimensionMismatchError(
-            f"vector dimension {w.dim} != coupling dimension {coupling.dim}"
-        )
-    v = w.values
-    cv = coupling.values * v
-    return cv - float(v @ cv) * v
+    _check_dims(w, coupling, "vector")
+    return _ahle_rhs(w.values, coupling.values)
 
 
 def ahle_integrate(
@@ -277,40 +404,43 @@ def ahle_integrate(
     seed: int | None = None,
 ) -> Trajectory:
     """Integrate the sphere rule with RK4, renormalizing the norm each step."""
-    if w0.dim != coupling.dim:
-        raise DimensionMismatchError(
-            f"vector dimension {w0.dim} != coupling dimension {coupling.dim}"
-        )
+    _check_dims(w0, coupling, "vector")
     c = coupling.values
-    steps, times = _step_schedule(t_end, dt)
-    states = [w0]
-    v = w0.values
-
-    def rhs(u):
-        return c * u - float(u @ (c * u)) * u
-
-    for h in steps:
-        v = _rk4_step(rhs, v, h)
-        v = v / np.linalg.norm(v)
-        states.append(SphereVector(v))
+    times, states = _ahle_integrate_batch(w0.values[None], c[None], t_end, dt)
     meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()), seed)
-    return Trajectory(np.asarray(times), tuple(states), meta)
+    return Trajectory(times, _StateStack(states[0]), meta)
+
+
+def _sphere_curve(w0: np.ndarray, c: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact solution of the sphere rule for B starts at every time: (B, n) -> (B, T, n).
+
+    A zero component of w0 stays zero whatever its rate, so it is given a
+    rate of the support instead: the shift then comes from the support and
+    the largest surviving weight is 1.  Scaling the largest entry to 1
+    before taking the norm keeps tiny starts from underflowing.
+    """
+    support = w0 != 0
+    floor = np.where(support, c, np.inf).min(axis=-1, keepdims=True)
+    s = _exp_weights(np.where(support, c, floor), times) * w0[:, None, :]
+    s /= np.abs(s).max(axis=-1, keepdims=True)
+    s /= np.linalg.norm(s, axis=-1, keepdims=True)
+    failure = _unit_failure(s.reshape(-1, s.shape[-1]))
+    if failure is not None:
+        raise failure[1]
+    return s
 
 
 def ahle_closed_form(w0: SphereVector, coupling: CouplingSpectrum, t: float) -> SphereVector:
     """Exact solution of the sphere rule at time ``t``.
 
     w(t)_j = e^{t c_j} w0_j / sqrt(sum_k e^{2 t c_k} w0_k^2).  The largest
-    exponent is factored out before exponentiating; the common factor cancels
-    in the normalization, so the guard changes nothing but overflow behavior.
+    rate is taken off the rates before they are multiplied by t; the common
+    factor cancels in the normalization, so the guard changes nothing but
+    overflow behavior, and any finite t gives a finite unit vector.
     """
-    if w0.dim != coupling.dim:
-        raise DimensionMismatchError(
-            f"vector dimension {w0.dim} != coupling dimension {coupling.dim}"
-        )
-    expo = t * coupling.values
-    scaled = np.exp(expo - expo.max()) * w0.values
-    return SphereVector(scaled / np.linalg.norm(scaled))
+    _check_dims(w0, coupling, "vector")
+    w = _sphere_curve(w0.values[None], coupling.values[None], np.array([float(t)]))
+    return SphereVector(w[0, 0])
 
 
 def diagonal_closed_form(
@@ -321,12 +451,8 @@ def diagonal_closed_form(
     theta(t)_j = e^{2 t c_j} theta0_j / sum_k e^{2 t c_k} theta0_k, the
     componentwise square of :func:`ahle_closed_form` when theta0_j = w0_j^2.
     """
-    if theta0.dim != coupling.dim:
-        raise DimensionMismatchError(
-            f"point dimension {theta0.dim} != coupling dimension {coupling.dim}"
-        )
-    expo = 2.0 * t * coupling.values
-    scaled = np.exp(expo - expo.max()) * theta0.values
+    _check_dims(theta0, coupling, "point")
+    scaled = _exp_weights(2.0 * coupling.values, np.array([float(t)]))[0] * theta0.values
     return SimplexPoint(scaled / scaled.sum())
 
 

@@ -33,6 +33,9 @@ from .qss import (
     DensityMatrix,
     SldMatrix,
     TangentVector,
+    _freeze,
+    _spectral_curve,
+    _unchecked,
     eig_hermitian,
     frobenius,
     hermitian_part,
@@ -78,6 +81,17 @@ class GeodesicSpec:
         e = eig_hermitian(self.cached_sld.entries)
         return e.eigenvalues, e.unitary
 
+    @cached_property
+    def _frame(self):
+        """Half the SLD's eigenvalues, its eigenbasis V and V^H, and V^H rho0 V.
+
+        The arguments from which :func:`~qssgeo.qss._spectral_blocks`
+        evaluates the curve, computed once per spec.
+        """
+        lam, v = self._sld_eig
+        v_h = np.ascontiguousarray(v.conj().T)
+        return 0.5 * lam, v, v_h, v_h @ self.start.entries @ v
+
 
 def e_transport(rho1: DensityMatrix, rho2: DensityMatrix, x: TangentVector) -> TangentVector:
     """Transport ``x`` from rho1 to rho2.
@@ -105,12 +119,22 @@ def is_e_parallel(x1: TangentVector, x2: TangentVector, tol: float) -> bool:
     return frobenius(x2.entries - moved.entries) <= tol
 
 
+def _geodesic_frame(specs):
+    """The :attr:`GeodesicSpec._frame` arrays of ``specs`` (one dimension), stacked."""
+    return tuple(np.stack(parts) for parts in zip(*(spec._frame for spec in specs)))
+
+
+def _geodesic_curves(specs, times) -> np.ndarray:
+    """(B, T, n, n): the geodesics of ``specs`` at ``times``, every state validated."""
+    return _spectral_curve(*_geodesic_frame(specs), np.asarray(times, dtype=float))
+
+
 def e_geodesic(spec: GeodesicSpec, t: float, allow_negative: bool = False) -> DensityMatrix:
     """Evaluate the geodesic of ``spec`` at time ``t``.
 
     Spectral evaluation: eigendecompose the Hermitian SLD once (cached on the
     spec), exponentiate eigenvalues, conjugate the start point, normalize the
-    trace.  Exponents are shifted by their maximum before exponentiating; the
+    trace.  The largest eigenvalue is taken off before multiplying by t; the
     shift cancels in the trace normalization and prevents overflow.
 
     Negative times are well-defined by the same formula but disabled by
@@ -118,12 +142,8 @@ def e_geodesic(spec: GeodesicSpec, t: float, allow_negative: bool = False) -> De
     """
     if t < 0 and not allow_negative:
         raise NegativeTimeDisabledError(t)
-    lam, v = spec._sld_eig
-    expo = 0.5 * t * lam
-    e_half = (v * np.exp(expo - expo.max())) @ v.conj().T
-    m = e_half @ spec.start.entries @ e_half
-    m = hermitian_part(m)
-    return DensityMatrix(m / np.trace(m).real)
+    state = _geodesic_curves([spec], [t])[0, 0]
+    return _unchecked(DensityMatrix, entries=_freeze(state))
 
 
 def autoparallel_residual(spec: GeodesicSpec, t: float, dt_fd: float) -> float:

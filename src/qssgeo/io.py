@@ -14,13 +14,8 @@ import json
 
 import numpy as np
 
-from .dynamics import SphereVector, Trajectory
+from .dynamics import Trajectory
 from .errors import ParseError
-from .qss import DensityMatrix
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def matrix_to_json_dict(a: np.ndarray) -> dict:
@@ -62,41 +57,33 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def _trajectory_kind(traj: Trajectory) -> str:
-    if all(isinstance(s, DensityMatrix) for s in traj.states):
-        return "density"
-    if all(isinstance(s, SphereVector) for s in traj.states):
-        return "sphere"
-    raise ValueError("trajectory mixes state types")
+    return "density" if traj.array.ndim == 3 else "sphere"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    kind = _trajectory_kind(traj)
-    n = traj.states[0].dim
-    if kind == "density":
+    a = traj.array
+    n = a.shape[1]
+    if a.ndim == 3:
         header = ["t"]
         for i in range(n):
             for j in range(n):
                 header += [f"re_{i}{j}", f"im_{i}{j}"]
+        values = np.stack([a.real, a.imag], axis=-1)
     else:
         header = ["t"] + [f"w_{j + 1}" for j in range(n)]
-    lines = [",".join(header)]
-    for t, state in zip(traj.times, traj.states):
-        row = [_fmt(t)]
-        if kind == "density":
-            for z in state.entries.ravel():
-                row += [_fmt(z.real), _fmt(z.imag)]
-        else:
-            row += [_fmt(x) for x in state.values]
-        lines.append(",".join(row))
+        values = a
+    rows = np.column_stack([traj.times, values.reshape(len(a), -1)])
+    row_format = ",".join(["%.17g"] * rows.shape[1])
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def trajectory_to_json_dict(traj: Trajectory) -> dict:
     kind = _trajectory_kind(traj)
     if kind == "density":
-        states = [matrix_to_json_dict(s.entries) for s in traj.states]
+        states = [matrix_to_json_dict(a) for a in traj.array]
     else:
-        states = [s.values.tolist() for s in traj.states]
+        states = traj.array.tolist()
     return {
         "meta": {
             "integrator": traj.meta.integrator,
@@ -104,7 +91,7 @@ def trajectory_to_json_dict(traj: Trajectory) -> dict:
             "coupling": list(traj.meta.coupling),
             "seed": traj.meta.seed,
             "kind": kind,
-            "n": traj.states[0].dim,
+            "n": traj.array.shape[1],
         },
         "times": traj.times.tolist(),
         "states": states,

@@ -16,12 +16,15 @@ well-defined on the whole space because every theta_j is strictly positive.
 Dense eigendecompositions keep this practical up to dimension ~64.
 
 All types are immutable after construction and all operations are pure
-functions, so everything here is safe to use from concurrent contexts.
+functions, so everything here is safe to use from concurrent contexts.  A
+DensityMatrix computes its eigendecomposition on first use and keeps it;
+two threads that race there compute the same value twice, harmlessly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +47,21 @@ TOL_RECON = 1e-9
 TOL_SLD = 1e-9
 TOL_METRIC = 1e-9
 
+# Byte cap on the states of one time block, in the spectral kernel and in
+# the RK4 kernel (n = 64: four times per block).  A block's temporaries are a
+# few arrays of this size, so a curve consumed block by block never holds
+# memory that grows with the number of times.
+_BLOCK_BYTES = 1 << 18
+
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^H) / 2."""
-    return (a + a.conj().T) / 2
+    """Return (A + A^H) / 2, for a matrix or for each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_deviation(a: np.ndarray) -> float:
     """Return max |A - A^H|, the distance from being Hermitian."""
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -72,6 +81,43 @@ def _as_square_complex(entries) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built without validation.
+
+    Only for values that passed the class's checks already, such as the
+    states of a validated stack.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_states(a: np.ndarray):
+    """Check the three state invariants on every matrix of a (B, n, n) stack.
+
+    Returns the symmetrized stack and ``None``, or, when some matrix breaks
+    an invariant, the stack and ``(index, error)`` for the first such matrix:
+    the error :class:`DensityMatrix` raises for it.  Non-finite entries fail
+    the Hermiticity check.
+    """
+    herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    h = hermitian_part(a)
+    trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
+    smallest = np.linalg.eigvalsh(h)[:, 0]
+    ok = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE) & (smallest > TOL_PD)
+    if ok.all():
+        return h, None
+    i = int(np.argmin(ok))
+    if not herm_dev[i] <= TOL_HERM:
+        error = NotHermitianError(float(herm_dev[i]))
+    elif not trace_dev[i] <= TOL_TRACE:
+        error = NotUnitTraceError(float(trace_dev[i]))
+    else:
+        error = NotPositiveDefiniteError(float(smallest[i]))
+    return h, (i, error)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A state: Hermitian, strictly positive-definite, unit-trace matrix.
@@ -85,21 +131,19 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _as_square_complex(self.entries)
-        dev = hermitian_deviation(a)
-        if dev > TOL_HERM:
-            raise NotHermitianError(dev)
-        a = hermitian_part(a)
-        trace_dev = abs(float(np.trace(a).real) - 1.0)
-        if trace_dev > TOL_TRACE:
-            raise NotUnitTraceError(trace_dev)
-        smallest = float(np.linalg.eigvalsh(a)[0])
-        if smallest <= TOL_PD:
-            raise NotPositiveDefiniteError(smallest)
-        object.__setattr__(self, "entries", _freeze(a))
+        h, failure = _check_states(a[None])
+        if failure is not None:
+            raise failure[1]
+        object.__setattr__(self, "entries", _freeze(h[0]))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _eig(self) -> EigenDecomposition:
+        """The eigendecomposition behind the SLD, the metric and transport, made on first use."""
+        return eig_hermitian(self.entries)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -275,7 +319,7 @@ def sld(rho: DensityMatrix, x: TangentVector) -> SldMatrix:
     """
     if x.base != rho:
         raise BaseMismatchError("tangent vector is not attached to the given state")
-    e = eig_hermitian(rho.entries)
+    e = rho._eig
     theta = e.eigenvalues
     xt = _to_eigenbasis(e, x.entries)
     lt = 2.0 * xt / (theta[:, None] + theta[None, :])
@@ -295,7 +339,7 @@ def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:
     pairing = 2.0 * float(np.trace(rho.entries @ xi.entries).real)
     if abs(pairing) > TOL_TRACE:
         raise NotInSldSpaceError(abs(pairing))
-    e = eig_hermitian(rho.entries)
+    e = rho._eig
     theta = e.eigenvalues
     xit = _to_eigenbasis(e, xi.entries)
     xt = 0.5 * (theta[:, None] + theta[None, :]) * xit
@@ -326,9 +370,55 @@ def fisher_metric_eigenbasis(rho: DensityMatrix, x: TangentVector, y: TangentVec
     """Same metric as an eigenbasis sum of 2 / (theta_j + theta_k) weighted products."""
     if x.base != rho or y.base != rho:
         raise BaseMismatchError("tangent vectors are not attached to the given state")
-    e = eig_hermitian(rho.entries)
+    e = rho._eig
     theta = e.eigenvalues
     xt = _to_eigenbasis(e, x.entries)
     yt = _to_eigenbasis(e, y.entries)
     weights = 2.0 / (theta[:, None] + theta[None, :])
     return float(np.sum(weights * np.conj(xt) * yt).real)
+
+
+def _exp_weights(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t * (rates - shift)) for every time: (..., n) rates, (T,) times -> (..., T, n).
+
+    The shift is the largest rate for t >= 0 and the smallest for t < 0.  It
+    is taken off the rates before they are multiplied by t, so every
+    exponent is <= 0 and no finite t overflows; the largest weight is 1.
+    The callers normalize, which cancels the shift.
+    """
+    rates = np.asarray(rates, dtype=float)[..., None, :]
+    t = np.asarray(times, dtype=float)[:, None]
+    shift = np.where(t >= 0, rates.max(axis=-1, keepdims=True), rates.min(axis=-1, keepdims=True))
+    # A product that overflows is -inf, whose weight 0 is the exact limit.
+    with np.errstate(over="ignore"):
+        return np.exp(t * (rates - shift))
+
+
+def _spectral_blocks(rates, frame, frame_h, start_hat, times):
+    """Evaluate rho(t) = F (S o w w^T) F^H / Tr(S o w w^T), w = exp(t * rates), in time blocks.
+
+    The batch holds B curves: ``rates`` (B, n), a unitary ``frame`` F and
+    ``frame_h`` its adjoint (B, n, n, contiguous, so that the stacked matmul
+    stays on BLAS), ``start_hat`` S = F^H rho0 F (B, n, n) and ``times``
+    (T,).  With F the eigenbasis of a Hermitian L and the rates half its
+    eigenvalues this is exp(tL/2) rho0 exp(tL/2), trace-normalized.  Yields
+    ``(slice of times, (B, t, n, n) states)``, every state validated as a
+    density matrix; a block holds at most _BLOCK_BYTES of states.
+    """
+    b, n = rates.shape
+    size = max(1, _BLOCK_BYTES // (16 * b * n * n))
+    for lo in range(0, len(times), size):
+        block = slice(lo, min(lo + size, len(times)))
+        w = _exp_weights(rates, times[block])
+        m = start_hat[:, None] * w[..., :, None] * w[..., None, :]
+        m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+        states, failure = _check_states((frame[:, None] @ m @ frame_h[:, None]).reshape(-1, n, n))
+        if failure is not None:
+            raise failure[1]
+        yield block, states.reshape(b, -1, n, n)
+
+
+def _spectral_curve(rates, frame, frame_h, start_hat, times) -> np.ndarray:
+    """The (B, T, n, n) states of :func:`_spectral_blocks`, in one array."""
+    blocks = _spectral_blocks(rates, frame, frame_h, start_hat, times)
+    return np.concatenate([states for _, states in blocks], axis=1)

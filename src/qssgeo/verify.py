@@ -9,7 +9,8 @@ integrator error rather than model error.
 
 A companion check does the same on the sphere: RK4 against the exponential
 closed form, and the squared coordinates against the diagonal of the
-matching geodesic.
+matching geodesic.  The randomized suite runs all cases of one dimension as
+one batch of each kind.
 
 The conjecture probe runs the converse: for an arbitrary target geodesic it
 builds a coupling spectrum, a special-unitary conjugation and an affine time
@@ -27,14 +28,15 @@ import numpy as np
 from .dynamics import (
     CouplingSpectrum,
     SphereVector,
-    ahle_closed_form,
-    ahle_integrate,
-    eahle_integrate,
+    _ahle_blocks,
+    _eahle_blocks,
+    _sphere_curve,
+    _step_schedule,
     hebbian_initial_tangent,
     sphere_to_simplex,
 )
-from .geometry import GeodesicSpec, e_geodesic
-from .qss import TOL_HERM, frobenius, make_density, random_density
+from .geometry import GeodesicSpec, _geodesic_curves, _geodesic_frame
+from .qss import TOL_HERM, _spectral_blocks, _spectral_curve, make_density, random_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +107,53 @@ def _make_report(case_id, n, seed, grid, devs, tol) -> VerificationReport:
     )
 
 
+def _flow_deviations(rho0s, couplings, t_end: float, dt: float):
+    """Integrate the matrix flow from B starts of one dimension at once; compare with geodesics.
+
+    Each geodesic's initial tangent is the flow field at its start.  Returns
+    the grid times and the (B, T) Frobenius gaps between the integrated and
+    the closed-form states.  Both sides are consumed in time blocks, so no
+    whole trajectory is held.
+    """
+    specs = [GeodesicSpec(r, hebbian_initial_tangent(r, c)) for r, c in zip(rho0s, couplings)]
+    frame = _geodesic_frame(specs)
+    steps, times = _step_schedule(t_end, dt)
+    devs = np.empty((len(specs), len(times)))
+    rho0 = np.stack([r.entries for r in rho0s])
+    c = np.stack([coupling.values for coupling in couplings])
+    for block, flow in _eahle_blocks(rho0, c, steps, times):
+        b = len(flow)
+        for sub, geodesic in _spectral_blocks(*(x[:b] for x in frame), times[block]):
+            devs[:b, block][:, sub] = np.linalg.norm(flow[:, sub] - geodesic, axis=(-2, -1))
+    return times, devs
+
+
+def _sphere_deviations(w0s, couplings, t_end: float, dt: float):
+    """Integrate the sphere rule from B starts of one dimension at once; check both closed forms.
+
+    Returns the grid times and the (B, T) pointwise worse of the gap to the
+    exact solution and the gap between its squares and the diagonal of the
+    geodesic started at the squared point.
+    """
+    rho0s = [make_density(np.diag(sphere_to_simplex(w)[0].values)) for w in w0s]
+    specs = [GeodesicSpec(r, hebbian_initial_tangent(r, c)) for r, c in zip(rho0s, couplings)]
+    frame = _geodesic_frame(specs)
+    steps, times = _step_schedule(t_end, dt)
+    devs = np.empty((len(specs), len(times)))
+    w0 = np.stack([w.values for w in w0s])
+    c = np.stack([coupling.values for coupling in couplings])
+    for block, w in _ahle_blocks(w0, c, steps, times):
+        b = len(w)
+        exact = _sphere_curve(w0[:b], c[:b], times[block])
+        dev = devs[:b, block]
+        dev[:] = np.linalg.norm(w - exact, axis=-1)
+        for sub, geodesic in _spectral_blocks(*(x[:b] for x in frame), times[block]):
+            diag = geodesic.diagonal(axis1=-2, axis2=-1).real
+            chart_dev = np.linalg.norm(exact[:, sub] ** 2 - diag, axis=-1)
+            dev[:, sub] = np.maximum(dev[:, sub], chart_dev)
+    return times, devs
+
+
 def verify_geodesic_coincidence(
     rho0,
     coupling: CouplingSpectrum,
@@ -119,13 +168,8 @@ def verify_geodesic_coincidence(
     The geodesic's initial tangent is the flow field at ``rho0``; deviations
     are Frobenius norms on the integrator's own grid (no interpolation).
     """
-    traj = eahle_integrate(rho0, coupling, t_end, dt, seed=seed)
-    spec = GeodesicSpec(rho0, hebbian_initial_tangent(rho0, coupling))
-    devs = [
-        frobenius(state.entries - e_geodesic(spec, t).entries)
-        for t, state in zip(traj.times, traj.states)
-    ]
-    return _make_report(case_id, rho0.dim, seed, traj.times, devs, tol)
+    times, devs = _flow_deviations([rho0], [coupling], t_end, dt)
+    return _make_report(case_id, rho0.dim, seed, times, devs[0], tol)
 
 
 def verify_sphere_closed_form(
@@ -144,18 +188,8 @@ def verify_sphere_closed_form(
     squared initial point.  Both must stay within ``tol``; the report stores
     the pointwise worse of the two.
     """
-    traj = ahle_integrate(w0, coupling, t_end, dt, seed=seed)
-    theta0, _ = sphere_to_simplex(w0)
-    rho0 = make_density(np.diag(theta0.values))
-    spec = GeodesicSpec(rho0, hebbian_initial_tangent(rho0, coupling))
-    devs = []
-    for t, state in zip(traj.times, traj.states):
-        exact = ahle_closed_form(w0, coupling, t)
-        integration_dev = float(np.linalg.norm(state.values - exact.values))
-        diag = e_geodesic(spec, t).entries.diagonal().real
-        chart_dev = float(np.linalg.norm(exact.values**2 - diag))
-        devs.append(max(integration_dev, chart_dev))
-    return _make_report(case_id, w0.dim, seed, traj.times, devs, tol)
+    times, devs = _sphere_deviations([w0], [coupling], t_end, dt)
+    return _make_report(case_id, w0.dim, seed, times, devs[0], tol)
 
 
 def run_suite(
@@ -169,35 +203,37 @@ def run_suite(
     """Run randomized coincidence and closed-form cases, deterministically per seed.
 
     Every fifth case uses a coupling spectrum with a repeated value to
-    exercise the degenerate (tied) case.  Failures are recorded in the
-    reports, never raised.
+    exercise the degenerate (tied) case.  The cases of one dimension are
+    drawn first, in the order a case-by-case loop draws them, and then
+    integrated and evaluated together, the flows as one batch and the
+    sphere rules as another; the reports are the ones
+    :func:`verify_geodesic_coincidence` and :func:`verify_sphere_closed_form`
+    give case by case.  Failures are recorded in the reports, never raised.
     """
     rng = np.random.default_rng(seed)
     reports = []
     for n in n_values:
+        draws = []
         for k in range(cases_per_n):
             case_seed = int(rng.integers(0, 2**31))
             c = rng.uniform(-1.0, 1.0, n)
             if k % 5 == 4 and n >= 2:
                 c[1] = c[0]
-            coupling = CouplingSpectrum(c)
-            rho0 = random_density(n, case_seed)
-            reports.append(
-                verify_geodesic_coincidence(
-                    rho0, coupling, t_end, dt, tol,
-                    case_id=f"flow-vs-geodesic/n{n}/case{k:02d}",
-                    seed=case_seed,
-                )
-            )
             w = rng.uniform(0.2, 1.0, n) * rng.choice([-1.0, 1.0], n)
-            w0 = SphereVector(w / np.linalg.norm(w))
-            reports.append(
-                verify_sphere_closed_form(
-                    w0, coupling, t_end, dt, tol,
-                    case_id=f"sphere-closed-form/n{n}/case{k:02d}",
-                    seed=case_seed,
-                )
-            )
+            draws.append((case_seed, CouplingSpectrum(c), SphereVector(w / np.linalg.norm(w))))
+        if not draws:
+            continue
+        seeds, couplings, w0s = zip(*draws)
+        rho0s = [random_density(n, case_seed) for case_seed in seeds]
+        times, flow_devs = _flow_deviations(rho0s, couplings, t_end, dt)
+        _, sphere_devs = _sphere_deviations(w0s, couplings, t_end, dt)
+        for k, case_seed in enumerate(seeds):
+            reports.append(_make_report(
+                f"flow-vs-geodesic/n{n}/case{k:02d}", n, case_seed, times, flow_devs[k], tol
+            ))
+            reports.append(_make_report(
+                f"sphere-closed-form/n{n}/case{k:02d}", n, case_seed, times, sphere_devs[k], tol
+            ))
     return reports
 
 
@@ -225,17 +261,15 @@ def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResul
     """
     if time_grid is None:
         time_grid = np.linspace(0.0, 1.0, 17)
+    times = np.asarray(time_grid, dtype=float)
     lam, v = spec._sld_eig
     u = v * np.linalg.det(v) ** (-1.0 / spec.dim)
     c = 0.5 * lam
-    rho_hat = u.conj().T @ spec.start.entries @ u
-    residual = 0.0
-    for t in np.asarray(time_grid, dtype=float):
-        expo = t * c
-        scale = np.exp(expo - expo.max())
-        m = rho_hat * scale[:, None] * scale[None, :]
-        flow = u @ (m / np.trace(m).real) @ u.conj().T
-        residual = max(residual, frobenius(flow - e_geodesic(spec, t).entries))
+    u_h = np.ascontiguousarray(u.conj().T)
+    rho_hat = u_h @ spec.start.entries @ u
+    flow = _spectral_curve(c[None], u[None], u_h[None], rho_hat[None], times)[0]
+    gaps = np.linalg.norm(flow - _geodesic_curves([spec], times)[0], axis=(-2, -1))
+    residual = float(gaps.max(initial=0.0))
     return ConjectureProbeResult(
         target_spec=spec,
         best_coupling=CouplingSpectrum(c),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,40 @@ def test_bad_number_is_usage_error(argv):
     # run as a subprocess so an uncaught exception would show as a traceback
     proc = subprocess.run(
         [sys.executable, "-m", "qssgeo.cli", *argv],
+        capture_output=True, text=True, env=_env_with_package(), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "w0, c, t, limit",
+    [
+        ("0.6,0.8", "2,0", "1e308", "1,0"),
+        ("0.6,0.8", "2,0", "-1e308", "0,1"),
+        # the shift comes from the support of w0, not from the zero entry
+        ("0,1", "2,0", "1e308", "0,1"),
+        # a tiny surviving entry is scaled up before the norm, not underflowed
+        ("1e-200,1", "2,0", "1e308", "1,0"),
+    ],
+)
+def test_closed_form_extreme_time_prints_finite_limit(w0, c, t, limit, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["closed-form", "--w0", w0, "--c", c, f"--t={t}"])
+    assert code == 0
+    assert capsys.readouterr().out == limit + "\n"
+
+
+def test_huge_step_count_is_usage_error(tmp_path):
+    # 10^15 grid points (7 PiB) exceed any address space, so the allocation
+    # fails before any memory is committed
+    rho_path = tmp_path / "rho.json"
+    io.save_matrix(str(rho_path), np.eye(2) / 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qssgeo.cli", "eahle", "--rho0", str(rho_path), "--c", "1,0",
+         "--t-end", "1e12", "--dt", "1e-3"],
         capture_output=True, text=True, env=_env_with_package(), timeout=60,
     )
     assert proc.returncode == 2

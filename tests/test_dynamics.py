@@ -1,9 +1,15 @@
 """Tests for the learning flows, their closed forms, and the chart maps."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qssgeo as q
+from qssgeo.dynamics import _ahle_integrate_batch, _eahle_integrate_batch
+from qssgeo.geometry import _geodesic_curves
 from qssgeo.qss import frobenius, hermitian_deviation
 
 
@@ -84,6 +90,80 @@ def test_integrate_step_too_large():
     with pytest.raises(q.StepTooLargeError) as exc:
         q.eahle_integrate(rho, coupling(8.0, -8.0), 3.0, 0.5)
     assert exc.value.time == 0.5
+
+
+def _first_error_of_separate_runs(starts, couplings, t_end, dt):
+    for start, c in zip(starts, couplings):
+        try:
+            q.eahle_integrate(q.make_density(start), coupling(*c), t_end, dt)
+        except q.StepTooLargeError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "starts, couplings",
+    [
+        # one failing case among healthy ones
+        ([np.eye(2) / 2, np.diag([0.999, 0.001]), np.diag([0.6, 0.4])],
+         [(0.3, -0.3), (8.0, -8.0), (0.1, 0.2)]),
+        # case 0 fails at t = 1.0, case 1 already at t = 0.5: run one after
+        # another, case 0 raises first
+        ([np.diag([0.999, 0.001]), np.diag([0.999, 0.001]), np.eye(2) / 2],
+         [(3.0, -3.0), (8.0, -8.0), (0.3, -0.3)]),
+    ],
+)
+def test_batch_step_too_large_matches_separate_runs(starts, couplings):
+    expected = _first_error_of_separate_runs(starts, couplings, 3.0, 0.5)
+    rho0 = np.stack([q.make_density(a).entries for a in starts])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(q.StepTooLargeError) as exc:
+            _eahle_integrate_batch(rho0, np.array(couplings), 3.0, 0.5)
+    assert (exc.value.time, exc.value.min_eigenvalue) == (expected.time, expected.min_eigenvalue)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batch_kernels_equal_separate_runs(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    rho0 = [q.random_density(n, int(s)) for s in rng.integers(0, 2**31, batch)]
+    c = rng.uniform(-1.0, 1.0, (batch, n))
+    w = rng.uniform(0.2, 1.0, (batch, n)) * rng.choice([-1.0, 1.0], (batch, n))
+    w0 = w / np.linalg.norm(w, axis=1, keepdims=True)
+    times, flows = _eahle_integrate_batch(np.stack([r.entries for r in rho0]), c, 0.1, 0.01)
+    _, spheres = _ahle_integrate_batch(w0, c, 0.1, 0.01)
+    specs = [q.GeodesicSpec(r, q.hebbian_initial_tangent(r, q.CouplingSpectrum(ck)))
+             for r, ck in zip(rho0, c)]
+    geodesics = _geodesic_curves(specs, times)
+    for k in range(batch):
+        flow = q.eahle_integrate(rho0[k], q.CouplingSpectrum(c[k]), 0.1, 0.01)
+        sphere = q.ahle_integrate(q.SphereVector(w0[k]), q.CouplingSpectrum(c[k]), 0.1, 0.01)
+        assert np.array_equal(flow.times, times)
+        assert np.array_equal(flow.array, flows[k])
+        assert np.array_equal(sphere.array, spheres[k])
+        assert np.array_equal(_geodesic_curves(specs[k:k + 1], times)[0], geodesics[k])
+
+
+def test_trajectory_array_is_read_only():
+    traj = q.eahle_integrate(q.random_density(3, 4), coupling(1.0, 0.0, -1.0), 0.05, 1e-2)
+    assert traj.array.shape == (6, 3, 3)
+    assert not traj.array.flags.writeable
+    assert not traj.states[2].entries.flags.writeable
+    with pytest.raises(ValueError):
+        traj.array[0, 0, 0] = 1.0
+    sphere = q.ahle_integrate(q.SphereVector(np.array([0.6, 0.8])), coupling(1.0, 0.0), 0.05, 1e-2)
+    assert sphere.array.shape == (6, 2) and not sphere.array.flags.writeable
+    # built from state objects, the trajectory holds the same read-only array
+    again = q.Trajectory(traj.times, list(traj.states), traj.meta)
+    assert np.array_equal(again.array, traj.array) and not again.array.flags.writeable
+
+
+def test_trajectory_rejects_mixed_states():
+    meta = q.TrajectoryMeta("rk4", 0.1, (1.0, 0.0))
+    with pytest.raises(ValueError):
+        states = [q.random_density(2, 1), q.SphereVector(np.array([1.0, 0.0]))]
+        q.Trajectory([0.0, 0.1], states, meta)
 
 
 def test_integrate_rejects_bad_steps():
@@ -372,6 +452,20 @@ def test_fixed_points_iff_scalar_action():
     )
     assert scalar_action_gap > 0.1
     assert frobenius(q.eahle_field(rho_b, c_b).entries) > 0.1
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (q.SphereVector, [np.nan, np.nan]),
+        (q.SphereVector, [np.nan, 1.0]),
+        (q.SimplexPoint, [np.nan, 1.0]),
+        (q.CouplingSpectrum, [np.inf, 0.0]),
+    ],
+)
+def test_value_classes_reject_non_finite(cls, values):
+    with pytest.raises(ValueError, match="finite"):
+        cls(np.array(values))
 
 
 def test_trajectory_validates_times():

@@ -113,3 +113,63 @@ def test_probe_result_json():
     assert d["residual"] <= 1e-6
     assert d["best_unitary"]["n"] == 2
     assert d["best_time_affine"]["a"] > 0
+
+
+def fixed_trajectories():
+    meta = q.TrajectoryMeta("rk4", 0.25, (1.0, -0.5), 7)
+    times = np.array([0.0, 0.25])
+    density = q.Trajectory(times, [
+        q.make_density([[2 / 3, 0.1 - 0.2j], [0.1 + 0.2j, 1 / 3]]),
+        q.make_density([[0.5, -1e-17 - 1j / 7], [-1e-17 + 1j / 7, 0.5]]),
+    ], meta)
+    sphere = q.Trajectory(times, [
+        q.SphereVector(np.array([0.6, -0.8])),
+        q.SphereVector(np.array([1.0, 1.0]) / np.sqrt(2)),
+    ], meta)
+    return density, sphere
+
+
+# The bytes the per-entry writer (one "%.17g" call per value, states read
+# one object at a time) produced for fixed_trajectories().
+DENSITY_CSV = (
+    "t,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11\n"
+    "0,0.66666666666666663,0,0.10000000000000001,-0.20000000000000001,"
+    "0.10000000000000001,0.20000000000000001,0.33333333333333331,0\n"
+    "0.25,0.5,0,-1.0000000000000001e-17,-0.14285714285714285,"
+    "-1.0000000000000001e-17,0.14285714285714285,0.5,0\n"
+)
+SPHERE_CSV = (
+    "t,w_1,w_2\n"
+    "0,0.59999999999999998,-0.80000000000000004\n"
+    "0.25,0.70710678118654746,0.70710678118654746\n"
+)
+META_JSON = (
+    '{\n  "meta": {\n    "integrator": "rk4",\n    "dt": 0.25,\n    "coupling": [\n'
+    '      1.0,\n      -0.5\n    ],\n    "seed": 7,\n    "kind": "%s",\n    "n": 2\n'
+    '  },\n  "times": [\n    0.0,\n    0.25\n  ],\n'
+)
+DENSITY_JSON = META_JSON % "density" + (
+    '  "states": [\n    {\n      "n": 2,\n      "re": [\n        [\n'
+    '          0.6666666666666666,\n          0.1\n        ],\n        [\n'
+    '          0.1,\n          0.3333333333333333\n        ]\n      ],\n'
+    '      "im": [\n        [\n          0.0,\n          -0.2\n        ],\n'
+    '        [\n          0.2,\n          0.0\n        ]\n      ]\n    },\n'
+    '    {\n      "n": 2,\n      "re": [\n        [\n          0.5,\n'
+    '          -1e-17\n        ],\n        [\n          -1e-17,\n          0.5\n'
+    '        ]\n      ],\n      "im": [\n        [\n          0.0,\n'
+    '          -0.14285714285714285\n        ],\n        [\n'
+    '          0.14285714285714285,\n          0.0\n        ]\n      ]\n    }\n'
+    '  ]\n}\n'
+)
+SPHERE_JSON = META_JSON % "sphere" + (
+    '  "states": [\n    [\n      0.6,\n      -0.8\n    ],\n    [\n'
+    '      0.7071067811865475,\n      0.7071067811865475\n    ]\n  ]\n}\n'
+)
+
+
+def test_trajectory_writers_bytes_unchanged():
+    density, sphere = fixed_trajectories()
+    assert io.trajectory_to_text(density, "csv") == DENSITY_CSV
+    assert io.trajectory_to_text(sphere, "csv") == SPHERE_CSV
+    assert io.trajectory_to_text(density, "json") == DENSITY_JSON
+    assert io.trajectory_to_text(sphere, "json") == SPHERE_JSON

@@ -86,6 +86,38 @@ def test_run_suite_shape_and_determinism():
         assert ra.passed == rb.passed and ra.tolerance == rb.tolerance
 
 
+def test_run_suite_matches_case_by_case():
+    # the suite draws every case of one n first and runs them as one batch;
+    # each report must be the one the per-case functions give for that draw
+    n_values, cases, seed = (2, 3, 4, 8), 5, 2024
+    reports = q.run_suite(n_values, cases, seed)
+    rng = np.random.default_rng(seed)
+    expected = []
+    for n in n_values:
+        for k in range(cases):
+            case_seed = int(rng.integers(0, 2**31))
+            c = rng.uniform(-1.0, 1.0, n)
+            if k % 5 == 4:
+                c[1] = c[0]
+            w = rng.uniform(0.2, 1.0, n) * rng.choice([-1.0, 1.0], n)
+            coupling_k = q.CouplingSpectrum(c)
+            expected.append(q.verify_geodesic_coincidence(
+                q.random_density(n, case_seed), coupling_k, 1.0, 1e-3, 1e-6,
+                case_id=f"flow-vs-geodesic/n{n}/case{k:02d}", seed=case_seed,
+            ))
+            expected.append(q.verify_sphere_closed_form(
+                q.SphereVector(w / np.linalg.norm(w)), coupling_k, 1.0, 1e-3, 1e-6,
+                case_id=f"sphere-closed-form/n{n}/case{k:02d}", seed=case_seed,
+            ))
+    assert len(reports) == len(expected) == 2 * len(n_values) * cases
+    for got, want in zip(reports, expected):
+        assert (got.case_id, got.n, got.seed) == (want.case_id, want.n, want.seed)
+        assert got.passed == want.passed
+        assert np.array_equal(got.time_grid, want.time_grid)
+        assert np.max(np.abs(got.per_time_deviation - want.per_time_deviation)) <= 1e-12
+        assert abs(got.max_deviation - want.max_deviation) <= 1e-12
+
+
 def test_run_suite_empty():
     assert q.run_suite([], 5, seed=1) == []
 
