@@ -25,6 +25,7 @@ is a hard error, since the exact flow provably stays inside.
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ from .errors import (
 from .qss import (
     TOL_TRACE,
     DensityMatrix,
-    _BLOCK_BYTES,
     TangentVector,
     _check_states,
     _exp_weights,
@@ -279,45 +279,6 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return steps, times
 
 
-def _rk4_blocks(field, renormalize, y0: np.ndarray, c: np.ndarray, steps, times):
-    """Classical RK4 from each of the B initial values ``y0`` under the couplings ``c`` (B, n).
-
-    Yields ``(slice of times, (B', t, ...) states)`` in blocks of at most
-    _BLOCK_BYTES of states, starting with y0, so a caller can consume a
-    trajectory without holding all of it.  ``renormalize(y, t)`` maps the
-    states after a step back to the state space and returns them with
-    ``None``, or with ``(index, error)`` for the first state that is no
-    longer valid.  The error raised is the one the cases would raise if run
-    one after another: a failing case and the cases after it are dropped (B'
-    counts the cases still running), the earlier ones run on, and the first
-    case that ever failed gives the error, once the blocks are exhausted.
-    """
-    size = max(1, _BLOCK_BYTES // y0.nbytes)
-    y, error = y0, None
-    for lo in range(0, len(times), size):
-        hi = min(lo + size, len(times))
-        block = np.empty((len(y), hi - lo) + y.shape[1:], dtype=y.dtype)
-        for s in range(lo, hi):
-            if s:
-                h = steps[s - 1]
-                k1 = field(y, c)
-                k2 = field(y + 0.5 * h * k1, c)
-                k3 = field(y + 0.5 * h * k2, c)
-                k4 = field(y + h * k3, c)
-                y, failure = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
-                if failure is not None:
-                    i, error = failure
-                    y, c, block = y[:i], c[:i], block[:i]
-                    if not i:
-                        break
-            block[:, s - lo] = y
-        yield slice(lo, hi), block
-        if not len(y):
-            break
-    if error is not None:
-        raise error
-
-
 def _renormalize_states(y: np.ndarray, t: float):
     y = y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None]
     y, failure = _check_states(y)
@@ -334,38 +295,70 @@ def _renormalize_vectors(v: np.ndarray, t: float):
     return v, _unit_failure(v)
 
 
-def _eahle_blocks(rho0: np.ndarray, c: np.ndarray, steps, times):
-    """:func:`_rk4_blocks` of the matrix flow: (B, n, n) states, (B, n) couplings.
+def _mapped_empty(shape, dtype) -> np.ndarray:
+    """An uninitialized array in an anonymous memory mapping of its own.
+
+    Freeing the array unmaps it, so a trajectory's pages go back to the
+    system when it is dropped.  Through malloc they need not: glibc raises
+    its mmap threshold to the size of a freed block of up to 32 MiB, the
+    next trajectory of that size is carved from the heap, and the heap keeps
+    it resident after it is freed (run_suite at n = 32, 64 grew from 104 to
+    120 MiB peak RSS on its second run that way).
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape, dtype=np.int64))
+    try:
+        buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {count} entries of {dtype}") from exc
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+
+
+def _integrate_batch(field, renormalize, y0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
+    """Classical RK4 from each of the B initial values ``y0`` under the couplings ``c`` (B, n).
+
+    Returns the grid times and all (B, T, ...) states, starting with y0.
+    ``renormalize(y, t)`` maps the states after a step back to the state
+    space and returns them with ``None``, or with ``(index, error)`` for the
+    first state that is no longer valid.  The error raised is the one the
+    cases would raise if run one after another: a failing case and the
+    cases after it are dropped, the earlier ones run on, and the first case
+    that ever failed gives the error once they are done.
+    """
+    steps, times = _step_schedule(t_end, dt)
+    out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
+    out[:, 0] = y0
+    y, error = y0, None
+    for s, h in enumerate(steps, start=1):
+        k1 = field(y, c)
+        k2 = field(y + 0.5 * h * k1, c)
+        k3 = field(y + 0.5 * h * k2, c)
+        k4 = field(y + h * k3, c)
+        y, failure = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
+        if failure is not None:
+            i, error = failure
+            y, c = y[:i], c[:i]
+            if not i:
+                break
+        out[: len(y), s] = y
+    if error is not None:
+        raise error
+    return times, out
+
+
+def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
+    """RK4 of the matrix flow for B cases at once: times and (B, T, n, n) states.
 
     Every step renormalizes the trace and checks all B states as density
     matrices while they are still in cache; loss of positive-definiteness
     raises :class:`StepTooLargeError` with the offending time.
     """
-    return _rk4_blocks(_eahle_rhs, _renormalize_states, rho0, c, steps, times)
-
-
-def _ahle_blocks(w0: np.ndarray, c: np.ndarray, steps, times):
-    """:func:`_rk4_blocks` of the sphere rule: (B, n) starts and couplings."""
-    return _rk4_blocks(_ahle_rhs, _renormalize_vectors, w0, c, steps, times)
-
-
-def _integrate_batch(blocks, y0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
-    """The grid times and all (B, T, ...) states that ``blocks`` integrates from ``y0``."""
-    steps, times = _step_schedule(t_end, dt)
-    out = np.empty((len(y0), len(times)) + y0.shape[1:], dtype=y0.dtype)
-    for block, states in blocks(y0, c, steps, times):
-        out[: len(states), block] = states
-    return times, out
-
-
-def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
-    """RK4 of the matrix flow for B cases at once: times and (B, T, n, n) states."""
-    return _integrate_batch(_eahle_blocks, rho0, c, t_end, dt)
+    return _integrate_batch(_eahle_rhs, _renormalize_states, rho0, c, t_end, dt)
 
 
 def _ahle_integrate_batch(w0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
     """RK4 of the sphere rule for B cases at once: times and (B, T, n) states."""
-    return _integrate_batch(_ahle_blocks, w0, c, t_end, dt)
+    return _integrate_batch(_ahle_rhs, _renormalize_vectors, w0, c, t_end, dt)
 
 
 def eahle_integrate(

@@ -47,10 +47,10 @@ TOL_RECON = 1e-9
 TOL_SLD = 1e-9
 TOL_METRIC = 1e-9
 
-# Byte cap on the states of one time block, in the spectral kernel and in
-# the RK4 kernel (n = 64: four times per block).  A block's temporaries are a
-# few arrays of this size, so a curve consumed block by block never holds
-# memory that grows with the number of times.
+# Byte cap on the states of one time block of the spectral kernel (n = 64:
+# four times per block).  A block's temporaries are a few arrays of this
+# size, so a curve consumed block by block never holds memory that grows
+# with the number of times.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -28,10 +28,9 @@ import numpy as np
 from .dynamics import (
     CouplingSpectrum,
     SphereVector,
-    _ahle_blocks,
-    _eahle_blocks,
+    _ahle_integrate_batch,
+    _eahle_integrate_batch,
     _sphere_curve,
-    _step_schedule,
     hebbian_initial_tangent,
     sphere_to_simplex,
 )
@@ -112,19 +111,17 @@ def _flow_deviations(rho0s, couplings, t_end: float, dt: float):
 
     Each geodesic's initial tangent is the flow field at its start.  Returns
     the grid times and the (B, T) Frobenius gaps between the integrated and
-    the closed-form states.  Both sides are consumed in time blocks, so no
-    whole trajectory is held.
+    the closed-form states.  The flow is held whole, as
+    :func:`~qssgeo.dynamics.eahle_integrate` holds it; the geodesic is
+    evaluated against it in time blocks.
     """
     specs = [GeodesicSpec(r, hebbian_initial_tangent(r, c)) for r, c in zip(rho0s, couplings)]
-    frame = _geodesic_frame(specs)
-    steps, times = _step_schedule(t_end, dt)
-    devs = np.empty((len(specs), len(times)))
     rho0 = np.stack([r.entries for r in rho0s])
     c = np.stack([coupling.values for coupling in couplings])
-    for block, flow in _eahle_blocks(rho0, c, steps, times):
-        b = len(flow)
-        for sub, geodesic in _spectral_blocks(*(x[:b] for x in frame), times[block]):
-            devs[:b, block][:, sub] = np.linalg.norm(flow[:, sub] - geodesic, axis=(-2, -1))
+    times, flow = _eahle_integrate_batch(rho0, c, t_end, dt)
+    devs = np.empty(flow.shape[:2])
+    for block, geodesic in _spectral_blocks(*_geodesic_frame(specs), times):
+        devs[:, block] = np.linalg.norm(flow[:, block] - geodesic, axis=(-2, -1))
     return times, devs
 
 
@@ -137,20 +134,15 @@ def _sphere_deviations(w0s, couplings, t_end: float, dt: float):
     """
     rho0s = [make_density(np.diag(sphere_to_simplex(w)[0].values)) for w in w0s]
     specs = [GeodesicSpec(r, hebbian_initial_tangent(r, c)) for r, c in zip(rho0s, couplings)]
-    frame = _geodesic_frame(specs)
-    steps, times = _step_schedule(t_end, dt)
-    devs = np.empty((len(specs), len(times)))
     w0 = np.stack([w.values for w in w0s])
     c = np.stack([coupling.values for coupling in couplings])
-    for block, w in _ahle_blocks(w0, c, steps, times):
-        b = len(w)
-        exact = _sphere_curve(w0[:b], c[:b], times[block])
-        dev = devs[:b, block]
-        dev[:] = np.linalg.norm(w - exact, axis=-1)
-        for sub, geodesic in _spectral_blocks(*(x[:b] for x in frame), times[block]):
-            diag = geodesic.diagonal(axis1=-2, axis2=-1).real
-            chart_dev = np.linalg.norm(exact[:, sub] ** 2 - diag, axis=-1)
-            dev[:, sub] = np.maximum(dev[:, sub], chart_dev)
+    times, w = _ahle_integrate_batch(w0, c, t_end, dt)
+    exact = _sphere_curve(w0, c, times)
+    devs = np.linalg.norm(w - exact, axis=-1)
+    for block, geodesic in _spectral_blocks(*_geodesic_frame(specs), times):
+        diag = geodesic.diagonal(axis1=-2, axis2=-1).real
+        chart_dev = np.linalg.norm(exact[:, block] ** 2 - diag, axis=-1)
+        devs[:, block] = np.maximum(devs[:, block], chart_dev)
     return times, devs
 
 
