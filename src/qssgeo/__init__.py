@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
     InvalidStepError,
+    InvalidValueError,
     NegativeTimeDisabledError,
     NotHermitianError,
     NotInSldSpaceError,

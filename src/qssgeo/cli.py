@@ -14,9 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import io
 from .dynamics import (
@@ -36,18 +34,14 @@ from .geometry import GeodesicSpec, _geodesic_curves, random_geodesic_spec
 from .qss import TangentVector, make_density
 from .verify import conjecture_probe, run_suite, suite_summary
 
-_DEFAULT_DT = 1e-3
-_DEFAULT_T_END = 1.0
-_DEFAULT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     seed: int = 0
-    dt: float = _DEFAULT_DT
-    t_end: float = _DEFAULT_T_END
-    tol: float = _DEFAULT_TOL
+    dt: float = 1e-3
+    t_end: float = 1.0
+    tol: float = 1e-6
     n: int | None = None
     input_path: str | None = None
     output_path: str = "-"
@@ -65,132 +59,118 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite_float(text: str) -> float:
+def _checked(parse, accept, expected: str, many: bool = False):
+    """An argparse type: ``parse`` the text and keep the value when ``accept`` holds.
+
+    With ``many`` the text is a comma-separated list, each item parsed and checked.
+    """
+
+    def convert(text: str):
+        try:
+            values = tuple(map(parse, text.split(","))) if many else (parse(text),)
+            if all(map(accept, values)):
+                return values if many else values[0]
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+_finite = _checked(float, math.isfinite, "a finite decimal")
+_floats = _checked(float, math.isfinite, "comma-separated finite decimals", many=True)
+_positive = _checked(float, lambda x: 0 < x < math.inf, "a positive finite decimal")
+_positive_int = _checked(int, lambda k: k > 0, "a positive integer")
+_seed = _checked(int, lambda k: k >= 0, "a non-negative integer")
+_dimension = _checked(int, lambda k: k >= 2, "an integer of at least 2")
+_dimensions = _checked(int, lambda k: k >= 2, "comma-separated integers of at least 2", many=True)
+
+
+def _unit_vector(text: str) -> tuple[float, ...]:
+    values = _floats(text)
     try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite decimal, got {text!r}")
-
-
-def _float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(_finite_float(tok) for tok in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise UsageError(f"{flag}: expected comma-separated finite decimals, got {text!r}")
-
-
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}")
+        SphereVector(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return values
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qssgeo", description=__doc__)
+    # Defaults live in RunConfig: a flag that is not given leaves no attribute.
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def common(p, with_traj=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
+        p.add_argument("--seed", type=_seed)
+        p.add_argument("--out", dest="output_path", help="output path, '-' for stdout")
         if with_traj:
-            p.add_argument("--dt", type=_finite_float, default=_DEFAULT_DT)
-            p.add_argument("--t-end", type=_finite_float, default=_DEFAULT_T_END)
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
+            p.add_argument("--dt", type=_positive)
+            p.add_argument("--t-end", type=_positive)
+            p.add_argument("--format", choices=["csv", "json"])
 
-    p = sub.add_parser("geodesic", help="evaluate a closed-form geodesic on a time grid")
-    p.add_argument("--rho0", required=True, help="start state, matrix JSON file")
-    p.add_argument("--x0", help="initial tangent, matrix JSON file")
-    p.add_argument("--c", help="coupling values; tangent becomes the flow field at rho0")
+    rho0 = dict(dest="input_path", required=True, help="start state, matrix JSON file")
+    w0 = dict(type=_unit_vector, required=True, help="start vector, comma-separated")
+    c = dict(dest="coupling", type=_floats, help="coupling values, comma-separated")
+
+    p = command("geodesic", "evaluate a closed-form geodesic on a time grid")
+    p.add_argument("--rho0", **rho0)
+    p.add_argument("--x0", dest="tangent_path", help="initial tangent, matrix JSON file")
+    p.add_argument("--c", **c | {"help": "coupling values; tangent becomes the flow field at rho0"})
     common(p)
 
-    p = sub.add_parser("eahle", help="integrate the matrix learning flow with RK4")
-    p.add_argument("--rho0", required=True, help="start state, matrix JSON file")
-    p.add_argument("--c", required=True, help="coupling values, comma-separated")
+    p = command("eahle", "integrate the matrix learning flow with RK4")
+    p.add_argument("--rho0", **rho0)
+    p.add_argument("--c", required=True, **c)
     common(p)
 
-    p = sub.add_parser("ahle", help="integrate the sphere learning rule with RK4")
-    p.add_argument("--w0", required=True, help="start vector, comma-separated")
-    p.add_argument("--c", required=True, help="coupling values, comma-separated")
+    p = command("ahle", "integrate the sphere learning rule with RK4")
+    p.add_argument("--w0", **w0)
+    p.add_argument("--c", required=True, **c)
     common(p)
 
-    p = sub.add_parser("closed-form", help="evaluate the sphere rule's exact solution")
-    p.add_argument("--w0", required=True, help="start vector, comma-separated")
-    p.add_argument("--c", required=True, help="coupling values, comma-separated")
-    p.add_argument("--t", type=_finite_float, required=True, help="evaluation time")
+    p = command("closed-form", "evaluate the sphere rule's exact solution")
+    p.add_argument("--w0", **w0)
+    p.add_argument("--c", required=True, **c)
+    p.add_argument("--t", type=_finite, required=True, help="evaluation time")
     common(p, with_traj=False)
 
-    p = sub.add_parser("verify", help="run the randomized verification suite")
-    p.add_argument("--n", required=True, help="dimensions, comma-separated")
-    p.add_argument("--cases", type=int, default=25, help="cases per dimension")
-    p.add_argument("--tol", type=_finite_float, default=_DEFAULT_TOL)
+    p = command("verify", "run the randomized verification suite")
+    p.add_argument("--n", dest="n_values", type=_dimensions, required=True,
+                   help="dimensions, comma-separated")
+    p.add_argument("--cases", type=_positive_int, help="cases per dimension")
+    p.add_argument("--tol", type=_positive)
     common(p)
 
-    p = sub.add_parser("probe", help="construct a flow realizing a random geodesic")
-    p.add_argument("--n", type=int, required=True, help="dimension, at least 2")
+    p = command("probe", "construct a flow realizing a random geodesic")
+    p.add_argument("--n", type=_dimension, required=True, help="dimension, at least 2")
     # The witness is closed-form, so there is nothing to restart; the flag is
     # still accepted because existing invocations pass it.
-    p.add_argument("--restarts", type=int, default=8, help="ignored")
+    p.add_argument("--restarts", type=_positive_int, help="ignored")
     common(p, with_traj=False)
 
     return parser
 
 
 def parse_args(argv) -> RunConfig:
-    """Parse and validate ``argv`` into a RunConfig; raises UsageError."""
-    ns = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=ns.command,
-        seed=ns.seed,
-        output_path=ns.out,
-        dt=getattr(ns, "dt", _DEFAULT_DT),
-        t_end=getattr(ns, "t_end", _DEFAULT_T_END),
-        tol=getattr(ns, "tol", _DEFAULT_TOL),
-        format=getattr(ns, "format", "csv"),
-        input_path=getattr(ns, "rho0", None),
-        tangent_path=getattr(ns, "x0", None),
-        t=getattr(ns, "t", None),
-        cases=getattr(ns, "cases", 25),
-    )
-    if getattr(ns, "c", None) is not None:
-        config = replace(config, coupling=_float_list(ns.c, "--c"))
-    if getattr(ns, "w0", None) is not None:
-        config = replace(config, w0=_float_list(ns.w0, "--w0"))
-        try:
-            SphereVector(np.asarray(config.w0))
-        except ValueError as exc:
-            raise UsageError(f"--w0: {exc}")
-    if ns.command == "verify":
-        config = replace(config, n_values=_int_list(ns.n, "--n"))
-    elif ns.command == "probe":
-        config = replace(config, n=ns.n)
+    """Parse and validate ``argv`` into a RunConfig; raises UsageError.
 
+    Each flag's type checks that flag's value; the checks here span flags
+    or read the environment.
+    """
+    fields = vars(_build_parser().parse_args(argv))
+    fields.pop("restarts", None)
     env_seed = os.environ.get("QSSGEO_SEED")
     if env_seed is not None:
         try:
-            config = replace(config, seed=int(env_seed))
-        except ValueError:
-            raise UsageError(f"QSSGEO_SEED: expected an integer, got {env_seed!r}")
-
-    if config.dt <= 0:
-        raise UsageError(f"--dt must be positive, got {config.dt}")
-    if config.t_end <= 0:
-        raise UsageError(f"--t-end must be positive, got {config.t_end}")
+            fields["seed"] = _seed(env_seed)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"QSSGEO_SEED: {exc}")
+    config = RunConfig(**fields)
     if config.dt > config.t_end:
         raise UsageError(f"--dt must not exceed --t-end, got {config.dt} > {config.t_end}")
-    if config.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {config.tol}")
-    if config.cases <= 0:
-        raise UsageError(f"--cases must be positive, got {config.cases}")
-    if getattr(ns, "restarts", 1) <= 0:
-        raise UsageError(f"--restarts must be positive, got {ns.restarts}")
-    if config.n_values is not None and any(n < 2 for n in config.n_values):
-        raise UsageError("--n: every dimension must be at least 2")
-    if config.command == "probe" and config.n < 2:
-        raise UsageError(f"--n must be at least 2 for probe, got {config.n}")
     if config.command == "geodesic" and (config.tangent_path is None) == (
         config.coupling is None
     ):
@@ -209,7 +189,7 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_geodesic(config: RunConfig) -> int:
     rho0 = make_density(io.load_matrix(config.input_path))
     if config.coupling is not None:
-        coupling = CouplingSpectrum(np.asarray(config.coupling))
+        coupling = CouplingSpectrum(config.coupling)
         x0 = hebbian_initial_tangent(rho0, coupling)
         coupling_meta = config.coupling
     else:
@@ -225,23 +205,23 @@ def _cmd_geodesic(config: RunConfig) -> int:
 
 def _cmd_eahle(config: RunConfig) -> int:
     rho0 = make_density(io.load_matrix(config.input_path))
-    coupling = CouplingSpectrum(np.asarray(config.coupling))
+    coupling = CouplingSpectrum(config.coupling)
     traj = eahle_integrate(rho0, coupling, config.t_end, config.dt, seed=config.seed)
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
     return 0
 
 
 def _cmd_ahle(config: RunConfig) -> int:
-    w0 = SphereVector(np.asarray(config.w0))
-    coupling = CouplingSpectrum(np.asarray(config.coupling))
+    w0 = SphereVector(config.w0)
+    coupling = CouplingSpectrum(config.coupling)
     traj = ahle_integrate(w0, coupling, config.t_end, config.dt, seed=config.seed)
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
     return 0
 
 
 def _cmd_closed_form(config: RunConfig) -> int:
-    w0 = SphereVector(np.asarray(config.w0))
-    coupling = CouplingSpectrum(np.asarray(config.coupling))
+    w0 = SphereVector(config.w0)
+    coupling = CouplingSpectrum(config.coupling)
     w = ahle_closed_form(w0, coupling, config.t)
     _write_text(config.output_path, ",".join("%.17g" % x for x in w.values) + "\n")
     return 0
@@ -284,7 +264,7 @@ def run(config: RunConfig) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (ParseError, UsageError) as exc:
+    except (OSError, ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QssError as exc:

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidStepError,
+    InvalidValueError,
     NotPositiveDefiniteError,
     StepTooLargeError,
     ZeroComponentError,
@@ -44,36 +45,28 @@ from .qss import (
     TangentVector,
     _check_states,
     _exp_weights,
+    _freeze,
     _unchecked,
 )
 
 TOL_SPHERE = 1e-10
 # Below this magnitude the sign of a sphere coordinate is numerically meaningless.
 TOL_ZERO = 1e-12
-
-
-def _vector(values, dtype=float) -> np.ndarray:
-    """A read-only 1-d copy of ``values``; non-finite entries are rejected."""
-    v = np.array(values, dtype=dtype)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    v.setflags(write=False)
-    return v
+# The most entries a float64 array can have, less the grid's extra point.
+_MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
 
 
 def _unit_failure(v: np.ndarray):
     """``None`` when every row of the (B, n) stack is a finite unit vector.
 
-    Otherwise ``(index, ValueError)`` for the first row that is not.
+    Otherwise ``(index, InvalidValueError)`` for the first row that is not.
     """
     norm_dev = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
     ok = np.isfinite(v).all(axis=-1) & (norm_dev <= TOL_SPHERE)
     if ok.all():
         return None
     i = int(np.argmin(ok))
-    return i, ValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[i]:.6e}")
+    return i, InvalidValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[i]:.6e}")
 
 
 def _check_dims(a, b, what: str) -> None:
@@ -82,13 +75,23 @@ def _check_dims(a, b, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class CouplingSpectrum:
-    """Diagonal of the coupling matrix C: real, finite, otherwise unconstrained."""
+class _Vector:
+    """A finite, read-only 1-d vector; each subclass adds its constraint in ``_check``."""
 
     values: np.ndarray
+    _dtype = float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _vector(self.values))
+        v = np.array(self.values, dtype=self._dtype)
+        if v.ndim != 1:
+            raise InvalidValueError(f"expected a 1-d vector, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise InvalidValueError("vector entries must be finite")
+        self._check(v)
+        object.__setattr__(self, "values", _freeze(v))
+
+    def _check(self, v: np.ndarray) -> None:
+        pass
 
     @property
     def dim(self) -> int:
@@ -96,58 +99,41 @@ class CouplingSpectrum:
 
 
 @dataclass(frozen=True, eq=False)
-class SphereVector:
+class CouplingSpectrum(_Vector):
+    """Diagonal of the coupling matrix C: real, finite, otherwise unconstrained."""
+
+
+@dataclass(frozen=True, eq=False)
+class SphereVector(_Vector):
     """A unit vector in R^n (within TOL_SPHERE)."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _vector(self.values)
+    def _check(self, v: np.ndarray) -> None:
         failure = _unit_failure(v[None])
         if failure is not None:
             raise failure[1]
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
-class SignVector:
+class SignVector(_Vector):
     """An orthant label: entries exactly +1 or -1."""
 
-    values: np.ndarray
+    _dtype = int
 
-    def __post_init__(self):
-        v = _vector(self.values, dtype=int)
+    def _check(self, v: np.ndarray) -> None:
         if not np.all(np.abs(v) == 1):
-            raise ValueError("sign entries must be exactly +1 or -1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+            raise InvalidValueError("sign entries must be exactly +1 or -1")
 
 
 @dataclass(frozen=True, eq=False)
-class SimplexPoint:
+class SimplexPoint(_Vector):
     """A point of the open probability simplex: theta_j > 0, sum theta_j = 1."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _vector(self.values)
+    def _check(self, v: np.ndarray) -> None:
         if not np.all(v > 0):
-            raise ValueError("simplex coordinates must be strictly positive")
+            raise InvalidValueError("simplex coordinates must be strictly positive")
         sum_dev = abs(float(v.sum()) - 1.0)
         if sum_dev > TOL_TRACE:
-            raise ValueError(f"simplex coordinates must sum to 1: deviation {sum_dev:.6e}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+            raise InvalidValueError(f"simplex coordinates must sum to 1: deviation {sum_dev:.6e}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +153,7 @@ class _StateStack(Sequence):
     """
 
     def __init__(self, array: np.ndarray):
-        array.setflags(write=False)
-        self.array = array
+        self.array = _freeze(array)
 
     @classmethod
     def of(cls, states) -> _StateStack:
@@ -213,8 +198,7 @@ class Trajectory:
             raise ValueError("times and states must be equal-length 1-d sequences")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", _freeze(t))
         object.__setattr__(self, "states", states)
 
     @property
@@ -264,12 +248,15 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
     Full steps of ``dt``, then a shortened last step when t_end / dt is not
     integral; the last grid time is exactly ``t_end`` either way.  A grid
-    too large for memory raises MemoryError when its arrays are allocated.
+    too large for memory raises MemoryError: here when no float array can
+    have that many entries, else when its arrays are allocated.
     """
     if t_end <= 0:
         raise InvalidStepError(f"t_end must be positive, got {t_end}")
     if dt <= 0 or dt > t_end:
         raise InvalidStepError(f"dt must satisfy 0 < dt <= t_end, got dt={dt}")
+    if not t_end / dt < _MAX_STEPS:
+        raise MemoryError(f"t_end / dt = {t_end / dt:.6g} steps exceed the largest array")
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
     steps = np.full(n_full + (remainder > 1e-9 * dt), float(dt))
@@ -329,18 +316,20 @@ def _integrate_batch(field, renormalize, y0: np.ndarray, c: np.ndarray, t_end: f
     out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
     out[:, 0] = y0
     y, error = y0, None
-    for s, h in enumerate(steps, start=1):
-        k1 = field(y, c)
-        k2 = field(y + 0.5 * h * k1, c)
-        k3 = field(y + 0.5 * h * k2, c)
-        k4 = field(y + h * k3, c)
-        y, failure = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
-        if failure is not None:
-            i, error = failure
-            y, c = y[:i], c[:i]
-            if not i:
-                break
-        out[: len(y), s] = y
+    # A state that overflows is non-finite, which renormalize reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, h in enumerate(steps, start=1):
+            k1 = field(y, c)
+            k2 = field(y + 0.5 * h * k1, c)
+            k3 = field(y + 0.5 * h * k2, c)
+            k4 = field(y + h * k3, c)
+            y, failure = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
+            if failure is not None:
+                i, error = failure
+                y, c = y[:i], c[:i]
+                if not i:
+                    break
+            out[: len(y), s] = y
     if error is not None:
         raise error
     return times, out

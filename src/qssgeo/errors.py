@@ -11,6 +11,10 @@ class QssError(Exception):
     """Base class for all qssgeo errors."""
 
 
+class InvalidValueError(QssError, ValueError):
+    """A value object breaks its defining constraint; also a ValueError."""
+
+
 class NotHermitianError(QssError):
     def __init__(self, deviation: float):
         super().__init__(f"matrix is not Hermitian: max |A - A^H| = {deviation:.6e}")

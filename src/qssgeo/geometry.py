@@ -58,8 +58,7 @@ class GeodesicSpec:
     cached_sld: SldMatrix | None = None
 
     def __post_init__(self):
-        if self.initial_tangent.base != self.start:
-            raise BaseMismatchError("initial tangent is not attached to the start point")
+        # sld raises BaseMismatchError for a tangent attached elsewhere.
         computed = sld(self.start, self.initial_tangent)
         if self.cached_sld is None:
             object.__setattr__(self, "cached_sld", computed)

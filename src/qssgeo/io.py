@@ -32,7 +32,7 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         n = int(d["n"])
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ParseError(
@@ -51,7 +51,7 @@ def load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return matrix_from_json_dict(payload)
 

@@ -32,6 +32,7 @@ from .errors import (
     BaseMismatchError,
     DecompositionFailedError,
     DimensionTooSmallError,
+    InvalidValueError,
     NotHermitianError,
     NotInSldSpaceError,
     NotPositiveDefiniteError,
@@ -77,8 +78,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _as_square_complex(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise InvalidValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """The symmetrized ``a``; more than TOL_HERM from Hermitian raises NotHermitianError."""
+    dev = hermitian_deviation(a)
+    if dev > TOL_HERM:
+        raise NotHermitianError(dev)
+    return hermitian_part(a)
 
 
 def _unchecked(cls, **fields):
@@ -159,38 +168,11 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector at ``base``: Hermitian and traceless."""
+class _AttachedMatrix:
+    """A Hermitian matrix attached to the state ``base``, of the same dimension.
 
-    entries: np.ndarray
-    base: DensityMatrix
-
-    def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        if a.shape[0] != self.base.dim:
-            raise BaseMismatchError(
-                f"tangent dimension {a.shape[0]} does not match base dimension {self.base.dim}"
-            )
-        dev = hermitian_deviation(a)
-        if dev > TOL_HERM:
-            raise NotHermitianError(dev)
-        a = hermitian_part(a)
-        trace_dev = abs(float(np.trace(a).real))
-        if trace_dev > TOL_TRACE:
-            raise NotTracelessError(trace_dev)
-        object.__setattr__(self, "entries", _freeze(a))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SldMatrix:
-    """An SLD at ``base``: Hermitian with Tr(rho X + X rho) = 0.
-
-    These matrices form the image of the tangent space under the SLD map,
-    which is a linear bijection (see :func:`sld` / :func:`sld_inverse`).
+    Inputs within TOL_HERM of Hermitian are symmetrized; each subclass adds
+    its one linear constraint in ``_check``.
     """
 
     entries: np.ndarray
@@ -200,21 +182,40 @@ class SldMatrix:
         a = _as_square_complex(self.entries)
         if a.shape[0] != self.base.dim:
             raise BaseMismatchError(
-                f"SLD dimension {a.shape[0]} does not match base dimension {self.base.dim}"
+                f"{type(self).__name__} dimension {a.shape[0]} != base dimension {self.base.dim}"
             )
-        dev = hermitian_deviation(a)
-        if dev > TOL_HERM:
-            raise NotHermitianError(dev)
-        a = hermitian_part(a)
-        # Tr(rho X + X rho) = 2 Tr(rho X) for Hermitian arguments.
-        pairing = 2.0 * float(np.trace(self.base.entries @ a).real)
-        if abs(pairing) > TOL_TRACE:
-            raise NotInSldSpaceError(abs(pairing))
+        a = _hermitian(a)
+        self._check(a)
         object.__setattr__(self, "entries", _freeze(a))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class TangentVector(_AttachedMatrix):
+    """A tangent vector at ``base``: Hermitian and traceless."""
+
+    def _check(self, a: np.ndarray) -> None:
+        trace_dev = abs(float(np.trace(a).real))
+        if trace_dev > TOL_TRACE:
+            raise NotTracelessError(trace_dev)
+
+
+@dataclass(frozen=True, eq=False)
+class SldMatrix(_AttachedMatrix):
+    """An SLD at ``base``: Hermitian with Tr(rho X + X rho) = 0.
+
+    These matrices form the image of the tangent space under the SLD map,
+    which is a linear bijection (see :func:`sld` / :func:`sld_inverse`).
+    """
+
+    def _check(self, a: np.ndarray) -> None:
+        # Tr(rho X + X rho) = 2 Tr(rho X) for Hermitian arguments.
+        pairing = 2.0 * float(np.trace(self.base.entries @ a).real)
+        if abs(pairing) > TOL_TRACE:
+            raise NotInSldSpaceError(abs(pairing))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +282,7 @@ def eig_hermitian(a) -> EigenDecomposition:
         With ``unitary @ diag(eigenvalues) @ unitary^H`` reconstructing the
         symmetrized input within TOL_RECON (relative to Frobenius scale).
     """
-    a = _as_square_complex(a)
-    dev = hermitian_deviation(a)
-    if dev > TOL_HERM:
-        raise NotHermitianError(dev)
-    a = hermitian_part(a)
+    a = _hermitian(_as_square_complex(a))
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -331,14 +328,11 @@ def sld(rho: DensityMatrix, x: TangentVector) -> SldMatrix:
 def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:
     """Invert the SLD map: return X with (rho Xi + Xi rho) / 2 = X.
 
-    The image characterization Tr(rho Xi + Xi rho) = 0 is re-checked so that
-    hand-built inputs outside the admissible space fail loudly.
+    ``xi`` lies in the admissible space Tr(rho Xi + Xi rho) = 0: its
+    constructor checked that against ``xi.base``, which must be ``rho``.
     """
     if xi.base != rho:
         raise BaseMismatchError("SLD matrix is not attached to the given state")
-    pairing = 2.0 * float(np.trace(rho.entries @ xi.entries).real)
-    if abs(pairing) > TOL_TRACE:
-        raise NotInSldSpaceError(abs(pairing))
     e = rho._eig
     theta = e.eigenvalues
     xit = _to_eigenbasis(e, xi.entries)
@@ -359,8 +353,6 @@ def fisher_metric(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> flo
 
 def fisher_metric_from_slds(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> float:
     """Same metric through the symmetrized SLD product Tr(rho {L_X, L_Y}) / 2."""
-    if x.base != rho or y.base != rho:
-        raise BaseMismatchError("tangent vectors are not attached to the given state")
     lx = sld(rho, x).entries
     ly = sld(rho, y).entries
     return float(0.5 * np.trace(rho.entries @ (lx @ ly + ly @ lx)).real)

@@ -35,7 +35,7 @@ from .dynamics import (
     sphere_to_simplex,
 )
 from .geometry import GeodesicSpec, _geodesic_curves, _geodesic_frame
-from .qss import TOL_HERM, _spectral_blocks, _spectral_curve, make_density, random_density
+from .qss import TOL_HERM, _freeze, _spectral_blocks, _spectral_curve, make_density, random_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +58,8 @@ class VerificationReport:
             raise ValueError("per_time_deviation must match time_grid in length")
         if self.passed != (self.max_deviation <= self.tolerance):
             raise ValueError("passed flag inconsistent with max_deviation vs tolerance")
-        grid.setflags(write=False)
-        devs.setflags(write=False)
-        object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "per_time_deviation", devs)
+        object.__setattr__(self, "time_grid", _freeze(grid))
+        object.__setattr__(self, "per_time_deviation", _freeze(devs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +84,7 @@ class ConjectureProbeResult:
         a, _ = self.best_time_affine
         if a <= 0:
             raise ValueError("time scale must be positive")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "best_unitary", u)
+        object.__setattr__(self, "best_unitary", _freeze(u.copy()))
 
 
 def _make_report(case_id, n, seed, grid, devs, tol) -> VerificationReport:
@@ -200,7 +196,9 @@ def run_suite(
     integrated and evaluated together, the flows as one batch and the
     sphere rules as another; the reports are the ones
     :func:`verify_geodesic_coincidence` and :func:`verify_sphere_closed_form`
-    give case by case.  Failures are recorded in the reports, never raised.
+    give case by case.  Verdicts are recorded in the reports; numerical
+    errors, such as a :class:`StepTooLargeError` or another
+    :class:`QssError` from a batch, are raised.
     """
     rng = np.random.default_rng(seed)
     reports = []

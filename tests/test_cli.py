@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qssgeo
 from qssgeo import io
@@ -250,17 +252,13 @@ def test_closed_form_extreme_time_prints_finite_limit(w0, c, t, limit, capsys):
 
 def test_huge_step_count_is_usage_error(tmp_path):
     # 10^15 grid points (7 PiB) exceed any address space, so the allocation
-    # fails before any memory is committed
+    # fails before any memory is committed; 10^298 points exceed the largest
+    # array numpy can describe, and 0.01 / 1e-320 overflows to inf
     rho_path = tmp_path / "rho.json"
     io.save_matrix(str(rho_path), np.eye(2) / 2)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qssgeo.cli", "eahle", "--rho0", str(rho_path), "--c", "1,0",
-         "--t-end", "1e12", "--dt", "1e-3"],
-        capture_output=True, text=True, env=_env_with_package(), timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
+    for t_end, dt in [("1e12", "1e-3"), ("0.01", "1e-320"), ("0.01", "1e-300")]:
+        argv = ["eahle", "--rho0", str(rho_path), "--c", "1,0", "--t-end", t_end, "--dt", dt]
+        _assert_one_line_exit(_run_cli(argv, tmp_path), 2)
 
 
 def test_geodesic_and_eahle_share_time_grid(tmp_path):
@@ -296,3 +294,126 @@ def test_run_config_is_usable_directly(tmp_path):
     assert run(config) == 0
     header = (tmp_path / "w.csv").read_text().split("\n", 1)[0]
     assert header == "t,w_1,w_2"
+
+
+def _write_inputs(path):
+    """Valid and unreadable input files, named as the argv below name them."""
+    io.save_matrix(str(path / "rho.json"), np.eye(2) / 2)
+    io.save_matrix(str(path / "x.json"), np.diag([0.1, -0.1]))
+    (path / "latin1.json").write_bytes(b'{"n": 2, "note": "\xe9"}')
+    (path / "huge_n.json").write_text('{"n": 1e400, "re": [[1]], "im": [[0]]}')
+    (path / "dir").mkdir(exist_ok=True)
+
+
+def _run_cli(argv, cwd):
+    # run as a subprocess so an uncaught exception would show as a traceback
+    return subprocess.run(
+        [sys.executable, "-m", "qssgeo.cli", *argv],
+        capture_output=True, text=True, env=_env_with_package(), timeout=60, cwd=cwd,
+    )
+
+
+def _assert_one_line_exit(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+_OUT_DIR_ARGV = [
+    ["geodesic", "--rho0", "rho.json", "--c", "1,0", "--t-end", "0.01"],
+    ["eahle", "--rho0", "rho.json", "--c", "1,0", "--t-end", "0.01"],
+    ["ahle", "--w0", "0.6,0.8", "--c", "1,0", "--t-end", "0.01"],
+    ["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "1"],
+    ["verify", "--n", "2", "--cases", "1", "--t-end", "0.01"],
+    ["probe", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eahle", "--rho0", "dir", "--c", "1,0"],
+        ["geodesic", "--rho0", "rho.json", "--x0", "dir"],
+        ["eahle", "--rho0", "latin1.json", "--c", "1,0"],
+        ["eahle", "--rho0", "huge_n.json", "--c", "1,0"],
+        *(argv + ["--out", "dir"] for argv in _OUT_DIR_ARGV),
+    ],
+)
+def test_unreadable_path_is_usage_error(argv, tmp_path):
+    _write_inputs(tmp_path)
+    _assert_one_line_exit(_run_cli(argv, tmp_path), 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ahle", "--w0=0.6,0.8", "--c=1e200,0", "--t-end", "0.01", "--dt", "0.01"],
+        ["eahle", "--rho0", "rho.json", "--c=1e200,0", "--t-end", "0.01", "--dt", "0.01"],
+    ],
+)
+def test_overflowing_flow_is_numerical_error(argv, tmp_path):
+    # the state overflows in the first RK4 step; the step check reports it
+    # as one line, with no RuntimeWarning before it
+    _write_inputs(tmp_path)
+    _assert_one_line_exit(_run_cli(argv, tmp_path), 3)
+
+
+# A valid value of every flag, and the flags of every command; the grids are short.
+_VALID = {
+    "--rho0": "rho.json", "--x0": "x.json", "--c": "0.5,-0.5", "--w0": "0.6,0.8", "--t": "0.5",
+    "--n": "2", "--cases": "1", "--tol": "1e-6", "--restarts": "1", "--t-end": "0.01",
+    "--dt": "0.005", "--format": "json", "--seed": "3", "--out": "out.txt",
+}
+_TRAJECTORY = ["--t-end", "--dt", "--format", "--seed", "--out"]
+_COMMAND_FLAGS = {
+    "geodesic": ["--rho0", "--c", *_TRAJECTORY],
+    "eahle": ["--rho0", "--c", *_TRAJECTORY],
+    "ahle": ["--w0", "--c", *_TRAJECTORY],
+    "closed-form": ["--w0", "--c", "--t", "--seed", "--out"],
+    "verify": ["--n", "--cases", "--tol", *_TRAJECTORY],
+    "probe": ["--n", "--restarts", "--seed", "--out"],
+}
+_BAD_VALUES = [
+    "nan", "inf", "-1", "0", "1e-320", "1e400", "x", "", "dir", "latin1.json", "huge_n.json",
+]
+
+
+@st.composite
+def _argv(draw):
+    """A valid argv of one command with up to three edits.
+
+    An edit sets a flag, the command's own or any other, to its valid value
+    or to a bad one, or leaves it out.  ``--t-end``, ``--cases`` and ``--n``
+    are never left out, so that no run takes long.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = {flag: _VALID[flag] for flag in _COMMAND_FLAGS[command]}
+    edit = st.tuples(
+        st.sampled_from(_COMMAND_FLAGS[command] + sorted(_VALID)),
+        st.sampled_from([None, "valid", *_BAD_VALUES]),
+    )
+    for flag, value in draw(st.lists(edit, max_size=3)):
+        if value is None and flag not in ("--t-end", "--cases", "--n"):
+            flags.pop(flag, None)
+        elif value is not None:
+            flags[flag] = _VALID[flag] if value == "valid" else value
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        argv += [flag, flags[flag]]
+    return argv
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argv())
+def test_cli_fuzz_keeps_exit_code_contract(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSSGEO_SEED", raising=False)
+    _write_inputs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    capsys.readouterr()

@@ -473,3 +473,30 @@ def test_trajectory_validates_times():
     meta = q.TrajectoryMeta("rk4", 0.1, (1.0, 0.0))
     with pytest.raises(ValueError):
         q.Trajectory(np.array([0.0, 0.2, 0.1]), (rho, rho, rho), meta)
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (q.CouplingSpectrum, [[1.0, 0.0]]),
+        (q.SphereVector, [1.0, 1.0]),
+        (q.SignVector, [1, 0]),
+        (q.SimplexPoint, [0.5, 0.6]),
+        (q.SimplexPoint, [1.5, -0.5]),
+    ],
+)
+def test_value_class_errors_are_qss_errors(cls, values):
+    # one error type serves both callers: ValueError handlers and the CLI's QssError
+    with pytest.raises(q.InvalidValueError) as exc:
+        cls(np.array(values))
+    assert isinstance(exc.value, q.QssError) and isinstance(exc.value, ValueError)
+
+
+def test_value_classes_stay_frozen_read_only_vectors():
+    for v in (q.CouplingSpectrum([1.0, 2.0]), q.SignVector([1, -1]), q.SimplexPoint([0.25, 0.75])):
+        assert v.dim == 2 and not v.values.flags.writeable
+        with pytest.raises(AttributeError):
+            v.values = np.zeros(2)
+        with pytest.raises(AttributeError):
+            v.extra = 1
+    assert q.SignVector([1, -1]).values.dtype.kind == "i"

@@ -41,6 +41,19 @@ def test_load_matrix_invalid_json(tmp_path):
         io.load_matrix(str(path))
 
 
+def test_load_matrix_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "re": [[1]], "im": [[0]], "note": "\xe9"}')
+    with pytest.raises(q.ParseError, match="latin1.json"):
+        io.load_matrix(str(path))
+
+
+def test_matrix_from_dict_rejects_infinite_size():
+    # JSON reads 1e400 as inf, which no int can hold
+    with pytest.raises(q.ParseError):
+        io.matrix_from_json_dict(json.loads('{"n": 1e400, "re": [[1]], "im": [[0]]}'))
+
+
 def density_trajectory():
     rho = q.make_density(np.eye(2) / 2)
     return q.eahle_integrate(rho, q.CouplingSpectrum(np.array([1.0, 0.0])), 0.002, 1e-3)

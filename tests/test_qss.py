@@ -270,3 +270,20 @@ def test_density_matrix_immutable():
     rho = q.random_density(2, 1)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 9.0
+
+
+def test_attached_matrices_share_shape_and_base_checks():
+    rho = q.random_density(2, 1)
+    for cls in (q.TangentVector, q.SldMatrix):
+        with pytest.raises(q.InvalidValueError):
+            cls(np.zeros((2, 3)), rho)
+        with pytest.raises(q.BaseMismatchError, match=cls.__name__):
+            cls(np.zeros((3, 3)), rho)
+        with pytest.raises(q.NotHermitianError):
+            cls(np.array([[0.0, 1.0], [0.0, 0.0]]), rho)
+        m = cls(np.zeros((2, 2)), rho)
+        assert m.dim == 2 and m.base is rho and not m.entries.flags.writeable
+        with pytest.raises(AttributeError):
+            m.extra = 1
+    with pytest.raises(q.InvalidValueError):
+        q.eig_hermitian(np.zeros(3))
