@@ -59,7 +59,6 @@ from .qss import (
     TOL_SLD,
     TOL_TRACE,
     DensityMatrix,
-    EigenDecomposition,
     SldMatrix,
     TangentVector,
     eig_hermitian,

@@ -238,7 +238,7 @@ def hebbian_initial_tangent(rho0: DensityMatrix, coupling: CouplingSpectrum) -> 
     Identical to :func:`eahle_field` at the start point; named separately
     because it is the geodesic-side ingredient: feeding it to
     :class:`~qssgeo.geometry.GeodesicSpec` yields the curve the integrated
-    flow must follow.  For diagonal rho0 its SLD is 2C - 2 Tr(C rho0) I.
+    flow must follow.  Its SLD is 2C - 2 Tr(C rho0) I at every rho0.
     """
     return eahle_field(rho0, coupling)
 

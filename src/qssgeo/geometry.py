@@ -17,7 +17,7 @@ is a pointwise evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,6 @@ from .errors import (
     NegativeTimeDisabledError,
 )
 from .qss import (
-    TOL_SLD,
     DensityMatrix,
     SldMatrix,
     TangentVector,
@@ -47,38 +46,22 @@ from .qss import (
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSpec:
-    """Initial data of a geodesic: start point, initial tangent, and its SLD.
+    """Initial data of a geodesic: start point and initial tangent.
 
-    The SLD is computed on construction when not supplied; a supplied one is
-    checked against sld(start, initial_tangent) within TOL_SLD.
+    Construction computes the tangent's SLD at the start, ``cached_sld``.
     """
 
     start: DensityMatrix
     initial_tangent: TangentVector
-    cached_sld: SldMatrix | None = None
+    cached_sld: SldMatrix = field(init=False)
 
     def __post_init__(self):
         # sld raises BaseMismatchError for a tangent attached elsewhere.
-        computed = sld(self.start, self.initial_tangent)
-        if self.cached_sld is None:
-            object.__setattr__(self, "cached_sld", computed)
-        else:
-            if self.cached_sld.base != self.start:
-                raise BaseMismatchError("cached SLD is not attached to the start point")
-            gap = frobenius(self.cached_sld.entries - computed.entries)
-            if gap > TOL_SLD:
-                raise ValueError(
-                    f"cached SLD deviates from sld(start, initial_tangent) by {gap:.6e}"
-                )
+        object.__setattr__(self, "cached_sld", sld(self.start, self.initial_tangent))
 
     @property
     def dim(self) -> int:
         return self.start.dim
-
-    @cached_property
-    def _sld_eig(self):
-        e = eig_hermitian(self.cached_sld.entries)
-        return e.eigenvalues, e.unitary
 
     @cached_property
     def _frame(self):
@@ -87,7 +70,7 @@ class GeodesicSpec:
         The arguments from which :func:`~qssgeo.qss._spectral_blocks`
         evaluates the curve, computed once per spec.
         """
-        lam, v = self._sld_eig
+        lam, v = eig_hermitian(self.cached_sld.entries)
         v_h = np.ascontiguousarray(v.conj().T)
         return 0.5 * lam, v, v_h, v_h @ self.start.entries @ v
 
@@ -112,8 +95,6 @@ def e_transport(rho1: DensityMatrix, rho2: DensityMatrix, x: TangentVector) -> T
 
 def is_e_parallel(x1: TangentVector, x2: TangentVector, tol: float) -> bool:
     """Whether ``x2`` equals the transport of ``x1`` to x2's base, within ``tol``."""
-    if x1.dim != x2.dim:
-        raise DimensionMismatchError(f"dimensions differ: {x1.dim} != {x2.dim}")
     moved = e_transport(x1.base, x2.base, x1)
     return frobenius(x2.entries - moved.entries) <= tol
 
@@ -154,10 +135,10 @@ def autoparallel_residual(spec: GeodesicSpec, t: float, dt_fd: float) -> float:
     """
     if dt_fd <= 0 or dt_fd >= t:
         raise InvalidStepError(f"step must satisfy 0 < dt_fd < t, got dt_fd={dt_fd}, t={t}")
-    ahead = e_geodesic(spec, t + dt_fd).entries
-    behind = e_geodesic(spec, t - dt_fd).entries
+    behind, here, ahead = _geodesic_curves([spec], [t - dt_fd, t, t + dt_fd])[0]
     velocity_fd = (ahead - behind) / (2.0 * dt_fd)
-    moved = e_transport(spec.start, e_geodesic(spec, t), spec.initial_tangent)
+    here = _unchecked(DensityMatrix, entries=_freeze(here))
+    moved = e_transport(spec.start, here, spec.initial_tangent)
     return frobenius(velocity_fd - moved.entries)
 
 

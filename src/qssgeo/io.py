@@ -34,6 +34,8 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         im = np.asarray(d["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParseError("matrix entries must be finite")
     if re.shape != (n, n) or im.shape != (n, n):
         raise ParseError(
             f"matrix shape mismatch: declared n={n}, got re {re.shape}, im {im.shape}"
@@ -124,12 +126,10 @@ def reports_to_json(reports) -> str:
 
 
 def probe_result_to_dict(result) -> dict:
-    a, b = result.best_time_affine
     return {
         "n": result.target_spec.dim,
         "residual": result.residual,
         "best_coupling": result.best_coupling.values.tolist(),
-        "best_time_affine": {"a": a, "b": b},
         "best_unitary": matrix_to_json_dict(result.best_unitary),
         "target_start": matrix_to_json_dict(result.target_spec.start.entries),
         "target_initial_tangent": matrix_to_json_dict(

@@ -85,7 +85,7 @@ def _as_square_complex(entries) -> np.ndarray:
 def _hermitian(a: np.ndarray) -> np.ndarray:
     """The symmetrized ``a``; more than TOL_HERM from Hermitian raises NotHermitianError."""
     dev = hermitian_deviation(a)
-    if dev > TOL_HERM:
+    if not dev <= TOL_HERM:  # NaN fails too
         raise NotHermitianError(dev)
     return hermitian_part(a)
 
@@ -150,9 +150,14 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     @cached_property
-    def _eig(self) -> EigenDecomposition:
-        """The eigendecomposition behind the SLD, the metric and transport, made on first use."""
-        return eig_hermitian(self.entries)
+    def _frame(self):
+        """The eigenbasis V of rho, V^H, and theta_j + theta_k, made on first use.
+
+        The SLD, its inverse and the metric are rescalings of V^H X V by
+        these sums; transport reaches them through :func:`sld`.
+        """
+        theta, v = eig_hermitian(self.entries)
+        return v, v.conj().T, theta[:, None] + theta[None, :]
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -218,20 +223,6 @@ class SldMatrix(_AttachedMatrix):
             raise NotInSldSpaceError(abs(pairing))
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Unitary eigenvectors and descending real eigenvalues of a Hermitian matrix."""
-
-    unitary: np.ndarray
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitary", _freeze(np.asarray(self.unitary, dtype=complex)))
-        object.__setattr__(
-            self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, dtype=float))
-        )
-
-
 def make_density(entries) -> DensityMatrix:
     """Validate ``entries`` as a density matrix.
 
@@ -268,7 +259,7 @@ def random_tangent(rho: DensityMatrix, seed: int, scale: float = 1.0) -> Tangent
     return TangentVector(x, rho)
 
 
-def eig_hermitian(a) -> EigenDecomposition:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix, eigenvalues in descending order.
 
     Parameters
@@ -278,9 +269,10 @@ def eig_hermitian(a) -> EigenDecomposition:
 
     Returns
     -------
-    EigenDecomposition
-        With ``unitary @ diag(eigenvalues) @ unitary^H`` reconstructing the
-        symmetrized input within TOL_RECON (relative to Frobenius scale).
+    (eigenvalues, unitary)
+        Read-only arrays with ``unitary @ diag(eigenvalues) @ unitary^H``
+        reconstructing the symmetrized input within TOL_RECON (relative to
+        Frobenius scale).
     """
     a = _hermitian(_as_square_complex(a))
     try:
@@ -295,15 +287,7 @@ def eig_hermitian(a) -> EigenDecomposition:
         raise DecompositionFailedError(
             f"eigendecomposition reconstruction error {recon_err:.6e} exceeds tolerance"
         )
-    return EigenDecomposition(v, w)
-
-
-def _to_eigenbasis(e: EigenDecomposition, a: np.ndarray) -> np.ndarray:
-    return e.unitary.conj().T @ a @ e.unitary
-
-
-def _from_eigenbasis(e: EigenDecomposition, a: np.ndarray) -> np.ndarray:
-    return e.unitary @ a @ e.unitary.conj().T
+    return _freeze(w), _freeze(v)
 
 
 def sld(rho: DensityMatrix, x: TangentVector) -> SldMatrix:
@@ -316,13 +300,11 @@ def sld(rho: DensityMatrix, x: TangentVector) -> SldMatrix:
     """
     if x.base != rho:
         raise BaseMismatchError("tangent vector is not attached to the given state")
-    e = rho._eig
-    theta = e.eigenvalues
-    xt = _to_eigenbasis(e, x.entries)
-    lt = 2.0 * xt / (theta[:, None] + theta[None, :])
+    v, v_h, sums = rho._frame
+    lt = 2.0 * (v_h @ x.entries @ v) / sums
     # Small eigenvalues amplify roundoff in the product; the exact result is
     # Hermitian, so symmetrize it here rather than fail SldMatrix's check.
-    return SldMatrix(hermitian_part(_from_eigenbasis(e, lt)), rho)
+    return SldMatrix(hermitian_part(v @ lt @ v_h), rho)
 
 
 def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:
@@ -333,11 +315,8 @@ def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:
     """
     if xi.base != rho:
         raise BaseMismatchError("SLD matrix is not attached to the given state")
-    e = rho._eig
-    theta = e.eigenvalues
-    xit = _to_eigenbasis(e, xi.entries)
-    xt = 0.5 * (theta[:, None] + theta[None, :]) * xit
-    return TangentVector(_from_eigenbasis(e, xt), rho)
+    v, v_h, sums = rho._frame
+    return TangentVector(v @ (0.5 * sums * (v_h @ xi.entries @ v)) @ v_h, rho)
 
 
 def fisher_metric(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> float:
@@ -362,12 +341,10 @@ def fisher_metric_eigenbasis(rho: DensityMatrix, x: TangentVector, y: TangentVec
     """Same metric as an eigenbasis sum of 2 / (theta_j + theta_k) weighted products."""
     if x.base != rho or y.base != rho:
         raise BaseMismatchError("tangent vectors are not attached to the given state")
-    e = rho._eig
-    theta = e.eigenvalues
-    xt = _to_eigenbasis(e, x.entries)
-    yt = _to_eigenbasis(e, y.entries)
-    weights = 2.0 / (theta[:, None] + theta[None, :])
-    return float(np.sum(weights * np.conj(xt) * yt).real)
+    v, v_h, sums = rho._frame
+    xt = v_h @ x.entries @ v
+    yt = v_h @ y.entries @ v
+    return float(np.sum(2.0 / sums * np.conj(xt) * yt).real)
 
 
 def _exp_weights(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -404,7 +381,9 @@ def _spectral_blocks(rates, frame, frame_h, start_hat, times):
         w = _exp_weights(rates, times[block])
         m = start_hat[:, None] * w[..., :, None] * w[..., None, :]
         m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-        states, failure = _check_states((frame[:, None] @ m @ frame_h[:, None]).reshape(-1, n, n))
+        # Rebinding m frees the scaled S before the state check allocates.
+        m = frame[:, None] @ m @ frame_h[:, None]
+        states, failure = _check_states(m.reshape(-1, n, n))
         if failure is not None:
             raise failure[1]
         yield block, states.reshape(b, -1, n, n)

@@ -13,10 +13,11 @@ matching geodesic.  The randomized suite runs all cases of one dimension as
 one batch of each kind.
 
 The conjecture probe runs the converse: for an arbitrary target geodesic it
-builds a coupling spectrum, a special-unitary conjugation and an affine time
-map that carry a flow trajectory onto it.  The witness is the eigenbasis of
-the initial SLD with half its eigenvalues as the coupling, so the probe is a
-closed-form construction for any dimension, and its residual is roundoff.
+builds a coupling spectrum and a special-unitary conjugation that carry a
+flow trajectory onto it, with time unchanged.  The witness is the eigenbasis
+of the initial SLD with half its eigenvalues as the coupling, so the probe
+is a closed-form construction for any dimension, and its residual is
+roundoff.
 """
 
 from __future__ import annotations
@@ -64,12 +65,11 @@ class VerificationReport:
 
 @dataclass(frozen=True, eq=False)
 class ConjectureProbeResult:
-    """The probe's witness: coupling, SU(n) element, affine time map, residual."""
+    """The probe's witness: coupling, SU(n) element, residual."""
 
     target_spec: GeodesicSpec
     best_coupling: CouplingSpectrum
     best_unitary: np.ndarray
-    best_time_affine: tuple[float, float]
     residual: float
 
     def __post_init__(self):
@@ -81,9 +81,6 @@ class ConjectureProbeResult:
         det_dev = abs(np.linalg.det(u) - 1.0)
         if det_dev > TOL_HERM:
             raise ValueError(f"determinant is not 1: deviation {det_dev:.6e}")
-        a, _ = self.best_time_affine
-        if a <= 0:
-            raise ValueError("time scale must be positive")
         object.__setattr__(self, "best_unitary", _freeze(u.copy()))
 
 
@@ -242,8 +239,7 @@ def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResul
     to determinant 1.  In the frame u the flow with coupling c = lam / 2,
     started at u^H rho0 u, is E rho E / Tr(E rho E) with E = exp(t diag(c)):
     the geodesic exp(t L/2) rho0 exp(t L/2) / Tr(...) seen in that frame,
-    under the identity time map (a, b) = (1, 0).  This holds in every
-    dimension.
+    at the same time t.  This holds in every dimension.
 
     The residual is the largest Frobenius gap between the flow's closed form,
     conjugated back, and :func:`e_geodesic` on ``time_grid`` (17 points on
@@ -252,11 +248,10 @@ def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResul
     if time_grid is None:
         time_grid = np.linspace(0.0, 1.0, 17)
     times = np.asarray(time_grid, dtype=float)
-    lam, v = spec._sld_eig
-    u = v * np.linalg.det(v) ** (-1.0 / spec.dim)
-    c = 0.5 * lam
-    u_h = np.ascontiguousarray(u.conj().T)
-    rho_hat = u_h @ spec.start.entries @ u
+    c, v, v_h, rho_hat = spec._frame
+    # A phase makes det u = 1 and cancels in u^H rho0 u = v^H rho0 v.
+    phase = np.linalg.det(v) ** (-1.0 / spec.dim)
+    u, u_h = v * phase, v_h * np.conj(phase)
     flow = _spectral_curve(c[None], u[None], u_h[None], rho_hat[None], times)[0]
     gaps = np.linalg.norm(flow - _geodesic_curves([spec], times)[0], axis=(-2, -1))
     residual = float(gaps.max(initial=0.0))
@@ -264,6 +259,5 @@ def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResul
         target_spec=spec,
         best_coupling=CouplingSpectrum(c),
         best_unitary=u,
-        best_time_affine=(1.0, 0.0),
         residual=residual,
     )

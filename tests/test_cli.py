@@ -302,6 +302,10 @@ def _write_inputs(path):
     io.save_matrix(str(path / "x.json"), np.diag([0.1, -0.1]))
     (path / "latin1.json").write_bytes(b'{"n": 2, "note": "\xe9"}')
     (path / "huge_n.json").write_text('{"n": 1e400, "re": [[1]], "im": [[0]]}')
+    (path / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
+    (path / "inf.json").write_text(
+        '{"n": 2, "re": [[Infinity, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'
+    )
     (path / "dir").mkdir(exist_ok=True)
 
 
@@ -337,6 +341,8 @@ _OUT_DIR_ARGV = [
         ["eahle", "--rho0", "latin1.json", "--c", "1,0"],
         ["eahle", "--rho0", "huge_n.json", "--c", "1,0"],
         *(argv + ["--out", "dir"] for argv in _OUT_DIR_ARGV),
+        ["geodesic", "--rho0", "rho.json", "--x0", "nan.json"],
+        ["eahle", "--rho0", "inf.json", "--c", "1,0"],
     ],
 )
 def test_unreadable_path_is_usage_error(argv, tmp_path):
@@ -375,6 +381,7 @@ _COMMAND_FLAGS = {
 }
 _BAD_VALUES = [
     "nan", "inf", "-1", "0", "1e-320", "1e400", "x", "", "dir", "latin1.json", "huge_n.json",
+    "nan.json",
 ]
 
 

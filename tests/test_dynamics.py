@@ -408,6 +408,31 @@ def test_initial_tangent_diagonal_sld():
     np.testing.assert_allclose(l.entries, expected, atol=1e-14)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    data=st.data(),
+)
+def test_flow_field_is_e_parallel(n, seeds, data):
+    # the theorem, with no integrator: the flow field is its own e-transport,
+    # and its SLD is 2(C - Tr(C rho) I) at every state.  Both gaps are
+    # roundoff amplified by the SLD's 2 / (theta_j + theta_k).  The
+    # couplings lie on a grid of step 2^-18 in [-2, 2], clear of underflow.
+    k = data.draw(st.lists(st.integers(-(2**19), 2**19), min_size=n, max_size=n))
+    c = coupling(*np.array(k) / 2**18)
+    rho1, rho2 = (q.random_density(n, seed) for seed in seeds)
+    scale = 100 * np.finfo(float).eps * np.max(np.abs(c.values))
+    moved = q.e_transport(rho1, rho2, q.eahle_field(rho1, c))
+    gap = frobenius(moved.entries - q.eahle_field(rho2, c).entries)
+    assert gap <= scale / np.linalg.eigvalsh(rho1.entries)[0]
+    for rho in (rho1, rho2):
+        l = q.sld(rho, q.eahle_field(rho, c)).entries
+        shift = float(np.trace(np.diag(c.values) @ rho.entries).real)
+        gap = frobenius(l - 2 * (np.diag(c.values) - shift * np.eye(n)))
+        assert gap <= scale / np.linalg.eigvalsh(rho.entries)[0]
+
+
 def test_initial_tangent_scalar_coupling():
     rho = q.random_density(3, 9)
     x = q.hebbian_initial_tangent(rho, coupling(0.3, 0.3, 0.3))

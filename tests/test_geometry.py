@@ -46,6 +46,8 @@ def test_transport_dimension_mismatch():
     rho3 = q.random_density(3, 1)
     with pytest.raises(q.DimensionMismatchError):
         q.e_transport(rho1, rho3, q.random_tangent(rho1, 2))
+    with pytest.raises(q.DimensionMismatchError):
+        q.is_e_parallel(q.random_tangent(rho1, 2), q.random_tangent(rho3, 2), 1e-9)
 
 
 def test_is_e_parallel_same_base():
@@ -106,14 +108,6 @@ def test_geodesic_negative_time_flag():
         q.e_geodesic(spec, -0.5)
     rho = q.e_geodesic(spec, -0.5, allow_negative=True)
     assert abs(np.trace(rho.entries).real - 1) <= 1e-12
-
-
-def test_geodesic_spec_validates_cached_sld():
-    rho = q.random_density(2, 1)
-    x = q.random_tangent(rho, 2)
-    wrong = q.sld(rho, q.random_tangent(rho, 3))
-    with pytest.raises(ValueError):
-        q.GeodesicSpec(rho, x, wrong)
 
 
 def test_geodesic_spec_base_mismatch():

@@ -71,36 +71,38 @@ def test_random_density_rejects_small_dim():
 
 
 def test_eig_scalar_matrix():
-    e = q.eig_hermitian(np.eye(2) / 2)
-    np.testing.assert_allclose(e.eigenvalues, [0.5, 0.5])
-    np.testing.assert_allclose(e.unitary @ e.unitary.conj().T, np.eye(2), atol=1e-14)
+    w, v = q.eig_hermitian(np.eye(2) / 2)
+    np.testing.assert_allclose(w, [0.5, 0.5])
+    np.testing.assert_allclose(v @ v.conj().T, np.eye(2), atol=1e-14)
+    assert not w.flags.writeable and not v.flags.writeable
 
 
 def test_eig_two_by_two():
     # hand eigensolve: [[1/2,1/2],[1/2,1/2]] has eigenpairs 1 -> (1,1)/sqrt2, 0 -> (1,-1)/sqrt2
     a = np.array([[0.0, 1.0], [1.0, 0.0]]) / 2 + np.eye(2) / 2
-    e = q.eig_hermitian(a)
-    np.testing.assert_allclose(e.eigenvalues, [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(np.abs(e.unitary), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-14)
-    recon = (e.unitary * e.eigenvalues) @ e.unitary.conj().T
+    w, v = q.eig_hermitian(a)
+    np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-14)
+    recon = (v * w) @ v.conj().T
     np.testing.assert_allclose(recon, a, atol=1e-14)
 
 
 def test_eig_already_diagonal():
-    e = q.eig_hermitian(np.diag([0.5, 0.3, 0.2]))
-    np.testing.assert_allclose(e.eigenvalues, [0.5, 0.3, 0.2])
-    np.testing.assert_allclose(np.abs(e.unitary), np.eye(3), atol=1e-14)
+    w, v = q.eig_hermitian(np.diag([0.5, 0.3, 0.2]))
+    np.testing.assert_allclose(w, [0.5, 0.3, 0.2])
+    np.testing.assert_allclose(np.abs(v), np.eye(3), atol=1e-14)
 
 
 def test_eig_descending_order():
     a = q.random_density(5, 3).entries
-    e = q.eig_hermitian(a)
-    assert np.all(np.diff(e.eigenvalues) <= 0)
+    w, _ = q.eig_hermitian(a)
+    assert np.all(np.diff(w) <= 0)
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(q.NotHermitianError):
-        q.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)):
+        with pytest.raises(q.NotHermitianError):
+            q.eig_hermitian(bad)
 
 
 def test_sld_scalar_state():
@@ -279,8 +281,9 @@ def test_attached_matrices_share_shape_and_base_checks():
             cls(np.zeros((2, 3)), rho)
         with pytest.raises(q.BaseMismatchError, match=cls.__name__):
             cls(np.zeros((3, 3)), rho)
-        with pytest.raises(q.NotHermitianError):
-            cls(np.array([[0.0, 1.0], [0.0, 0.0]]), rho)
+        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)):
+            with pytest.raises(q.NotHermitianError):
+                cls(bad, rho)
         m = cls(np.zeros((2, 2)), rho)
         assert m.dim == 2 and m.base is rho and not m.entries.flags.writeable
         with pytest.raises(AttributeError):
