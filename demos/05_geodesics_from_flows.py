@@ -5,7 +5,9 @@ probe runs the converse: given a generic geodesic, it builds a coupling
 spectrum and a special-unitary change of frame whose flow trajectory lands
 on it, time for time.  The witness is exact: conjugating by the eigenbasis
 of the initial SLD diagonalizes the problem and half its eigenvalues serve
-as the coupling.  The residual is roundoff, in any dimension.
+as the coupling.  The residual is the gap between the witness flow's field
+at its start, conjugated back, and the target's initial tangent; flows are
+geodesics, fixed by that tangent, so roundoff there is the whole claim.
 """
 
 import numpy as np

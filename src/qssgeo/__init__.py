@@ -31,7 +31,6 @@ from .errors import (
     DimensionTooSmallError,
     InvalidStepError,
     InvalidValueError,
-    NegativeTimeDisabledError,
     NotHermitianError,
     NotInSldSpaceError,
     NotPositiveDefiniteError,

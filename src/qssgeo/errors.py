@@ -67,23 +67,18 @@ class DecompositionFailedError(QssError):
     pass
 
 
-class NegativeTimeDisabledError(QssError):
-    def __init__(self, t: float):
-        super().__init__(
-            f"negative time t = {t} requires allow_negative=True; the curve domain is t >= 0"
-        )
-        self.t = t
-
-
 class InvalidStepError(QssError):
     pass
 
 
 class StepTooLargeError(QssError):
     def __init__(self, time: float, min_eigenvalue: float):
+        advice = "reduce the step size"
+        if min_eigenvalue > 0:  # only the TOL_PD margin failed
+            advice = "the state is within TOL_PD of the boundary; a smaller step will not help"
         super().__init__(
             f"state lost positive-definiteness at t = {time}: smallest eigenvalue = "
-            f"{min_eigenvalue:.6e}; reduce the step size"
+            f"{min_eigenvalue:.6e}; {advice}"
         )
         self.time = time
         self.min_eigenvalue = min_eigenvalue

@@ -22,18 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BaseMismatchError,
-    DimensionMismatchError,
-    InvalidStepError,
-    NegativeTimeDisabledError,
-)
+from .errors import BaseMismatchError, DimensionMismatchError, InvalidStepError
 from .qss import (
     DensityMatrix,
     SldMatrix,
     TangentVector,
+    _check_states,
+    _exp_weights,
     _freeze,
-    _spectral_curve,
     _unchecked,
     eig_hermitian,
     frobenius,
@@ -42,6 +38,11 @@ from .qss import (
     sld,
     sld_inverse,
 )
+
+# Byte cap on the states of one time block (n = 64: four times).  A block's
+# temporaries are a few arrays of this size, so a curve consumed block by
+# block holds memory that does not grow with the number of times.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +68,8 @@ class GeodesicSpec:
     def _frame(self):
         """Half the SLD's eigenvalues, its eigenbasis V and V^H, and V^H rho0 V.
 
-        The arguments from which :func:`~qssgeo.qss._spectral_blocks`
-        evaluates the curve, computed once per spec.
+        What :func:`_geodesic_blocks` evaluates the curve from, computed
+        once per spec.
         """
         lam, v = eig_hermitian(self.cached_sld.entries)
         v_h = np.ascontiguousarray(v.conj().T)
@@ -99,29 +100,47 @@ def is_e_parallel(x1: TangentVector, x2: TangentVector, tol: float) -> bool:
     return frobenius(x2.entries - moved.entries) <= tol
 
 
-def _geodesic_frame(specs):
-    """The :attr:`GeodesicSpec._frame` arrays of ``specs`` (one dimension), stacked."""
-    return tuple(np.stack(parts) for parts in zip(*(spec._frame for spec in specs)))
+def _geodesic_blocks(specs, times):
+    """Evaluate the geodesics of ``specs`` (one dimension) at ``times``, in time blocks.
+
+    With each spec's frame, rates r (half the SLD's eigenvalues), eigenbasis
+    V and S = V^H rho0 V, the state is V (S o w w^T) V^H / Tr(S o w w^T),
+    w = exp(t r): exp(tL/2) rho0 exp(tL/2), trace-normalized.  Yields
+    ``(slice of times, (B, t, n, n) states)``, every state validated as a
+    density matrix; a block holds at most _BLOCK_BYTES of states.
+    """
+    # V and V^H are contiguous, so the stacked matmul stays on BLAS.
+    rates, frame, frame_h, start_hat = (np.stack(p) for p in zip(*(s._frame for s in specs)))
+    times = np.asarray(times, dtype=float)
+    b, n = rates.shape
+    size = max(1, _BLOCK_BYTES // (16 * b * n * n))
+    for lo in range(0, len(times), size):
+        block = slice(lo, min(lo + size, len(times)))
+        w = _exp_weights(rates, times[block])
+        m = start_hat[:, None] * w[..., :, None] * w[..., None, :]
+        m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+        # Rebinding m frees the scaled S before the state check allocates.
+        m = frame[:, None] @ m @ frame_h[:, None]
+        states, failure = _check_states(m.reshape(-1, n, n))
+        if failure is not None:
+            raise failure[1]
+        yield block, states.reshape(b, -1, n, n)
 
 
 def _geodesic_curves(specs, times) -> np.ndarray:
     """(B, T, n, n): the geodesics of ``specs`` at ``times``, every state validated."""
-    return _spectral_curve(*_geodesic_frame(specs), np.asarray(times, dtype=float))
+    return np.concatenate([states for _, states in _geodesic_blocks(specs, times)], axis=1)
 
 
-def e_geodesic(spec: GeodesicSpec, t: float, allow_negative: bool = False) -> DensityMatrix:
-    """Evaluate the geodesic of ``spec`` at time ``t``.
+def e_geodesic(spec: GeodesicSpec, t: float) -> DensityMatrix:
+    """Evaluate the geodesic of ``spec`` at any finite time ``t``.
 
     Spectral evaluation: eigendecompose the Hermitian SLD once (cached on the
     spec), exponentiate eigenvalues, conjugate the start point, normalize the
-    trace.  The largest eigenvalue is taken off before multiplying by t; the
-    shift cancels in the trace normalization and prevents overflow.
-
-    Negative times are well-defined by the same formula but disabled by
-    default to match the curve's stated domain t >= 0.
+    trace.  An extreme eigenvalue is taken off before multiplying by t; the
+    shift cancels in the trace normalization and prevents overflow.  A
+    negative t gives the curve before its start.
     """
-    if t < 0 and not allow_negative:
-        raise NegativeTimeDisabledError(t)
     state = _geodesic_curves([spec], [t])[0, 0]
     return _unchecked(DensityMatrix, entries=_freeze(state))
 

@@ -48,12 +48,6 @@ TOL_RECON = 1e-9
 TOL_SLD = 1e-9
 TOL_METRIC = 1e-9
 
-# Byte cap on the states of one time block of the spectral kernel (n = 64:
-# four times per block).  A block's temporaries are a few arrays of this
-# size, so a curve consumed block by block never holds memory that grows
-# with the number of times.
-_BLOCK_BYTES = 1 << 18
-
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A^H) / 2, for a matrix or for each matrix of a stack."""
@@ -361,35 +355,3 @@ def _exp_weights(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
     # A product that overflows is -inf, whose weight 0 is the exact limit.
     with np.errstate(over="ignore"):
         return np.exp(t * (rates - shift))
-
-
-def _spectral_blocks(rates, frame, frame_h, start_hat, times):
-    """Evaluate rho(t) = F (S o w w^T) F^H / Tr(S o w w^T), w = exp(t * rates), in time blocks.
-
-    The batch holds B curves: ``rates`` (B, n), a unitary ``frame`` F and
-    ``frame_h`` its adjoint (B, n, n, contiguous, so that the stacked matmul
-    stays on BLAS), ``start_hat`` S = F^H rho0 F (B, n, n) and ``times``
-    (T,).  With F the eigenbasis of a Hermitian L and the rates half its
-    eigenvalues this is exp(tL/2) rho0 exp(tL/2), trace-normalized.  Yields
-    ``(slice of times, (B, t, n, n) states)``, every state validated as a
-    density matrix; a block holds at most _BLOCK_BYTES of states.
-    """
-    b, n = rates.shape
-    size = max(1, _BLOCK_BYTES // (16 * b * n * n))
-    for lo in range(0, len(times), size):
-        block = slice(lo, min(lo + size, len(times)))
-        w = _exp_weights(rates, times[block])
-        m = start_hat[:, None] * w[..., :, None] * w[..., None, :]
-        m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-        # Rebinding m frees the scaled S before the state check allocates.
-        m = frame[:, None] @ m @ frame_h[:, None]
-        states, failure = _check_states(m.reshape(-1, n, n))
-        if failure is not None:
-            raise failure[1]
-        yield block, states.reshape(b, -1, n, n)
-
-
-def _spectral_curve(rates, frame, frame_h, start_hat, times) -> np.ndarray:
-    """The (B, T, n, n) states of :func:`_spectral_blocks`, in one array."""
-    blocks = _spectral_blocks(rates, frame, frame_h, start_hat, times)
-    return np.concatenate([states for _, states in blocks], axis=1)

@@ -16,8 +16,8 @@ The conjecture probe runs the converse: for an arbitrary target geodesic it
 builds a coupling spectrum and a special-unitary conjugation that carry a
 flow trajectory onto it, with time unchanged.  The witness is the eigenbasis
 of the initial SLD with half its eigenvalues as the coupling, so the probe
-is a closed-form construction for any dimension, and its residual is
-roundoff.
+is a closed-form construction for any dimension.  Its residual compares the
+witness flow's initial field, conjugated back, with the target's tangent.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from .dynamics import (
     SphereVector,
     _ahle_integrate_batch,
     _eahle_integrate_batch,
+    _eahle_rhs,
     _sphere_curve,
     hebbian_initial_tangent,
     sphere_to_simplex,
 )
-from .geometry import GeodesicSpec, _geodesic_curves, _geodesic_frame
-from .qss import TOL_HERM, _freeze, _spectral_blocks, _spectral_curve, make_density, random_density
+from .geometry import GeodesicSpec, _geodesic_blocks
+from .qss import TOL_HERM, _freeze, frobenius, make_density, random_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +114,7 @@ def _flow_deviations(rho0s, couplings, t_end: float, dt: float):
     c = np.stack([coupling.values for coupling in couplings])
     times, flow = _eahle_integrate_batch(rho0, c, t_end, dt)
     devs = np.empty(flow.shape[:2])
-    for block, geodesic in _spectral_blocks(*_geodesic_frame(specs), times):
+    for block, geodesic in _geodesic_blocks(specs, times):
         devs[:, block] = np.linalg.norm(flow[:, block] - geodesic, axis=(-2, -1))
     return times, devs
 
@@ -132,7 +133,7 @@ def _sphere_deviations(w0s, couplings, t_end: float, dt: float):
     times, w = _ahle_integrate_batch(w0, c, t_end, dt)
     exact = _sphere_curve(w0, c, times)
     devs = np.linalg.norm(w - exact, axis=-1)
-    for block, geodesic in _spectral_blocks(*_geodesic_frame(specs), times):
+    for block, geodesic in _geodesic_blocks(specs, times):
         diag = geodesic.diagonal(axis1=-2, axis2=-1).real
         chart_dev = np.linalg.norm(exact[:, block] ** 2 - diag, axis=-1)
         devs[:, block] = np.maximum(devs[:, block], chart_dev)
@@ -231,7 +232,14 @@ def suite_summary(reports) -> str:
     return f"PASS {n_pass}/{len(reports)} (max dev = {max_dev:.6e})"
 
 
-def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResult:
+def _witness_residual(spec: GeodesicSpec, c: np.ndarray, u: np.ndarray) -> float:
+    """The probe's residual for the coupling ``c`` and the frame ``u``."""
+    u_h = u.conj().T
+    field = u @ _eahle_rhs(u_h @ spec.start.entries @ u, c) @ u_h
+    return frobenius(field - spec.initial_tangent.entries)
+
+
+def conjecture_probe(spec: GeodesicSpec) -> ConjectureProbeResult:
     """Realize the target geodesic as a learning-flow trajectory, up to symmetry.
 
     The witness is constructive.  Write the SLD of the target's initial
@@ -241,23 +249,17 @@ def conjecture_probe(spec: GeodesicSpec, time_grid=None) -> ConjectureProbeResul
     the geodesic exp(t L/2) rho0 exp(t L/2) / Tr(...) seen in that frame,
     at the same time t.  This holds in every dimension.
 
-    The residual is the largest Frobenius gap between the flow's closed form,
-    conjugated back, and :func:`e_geodesic` on ``time_grid`` (17 points on
-    [0, 1] by default); it measures roundoff only.
+    The residual is || u F(u^H rho0 u, c) u^H - X0 ||_F, F the flow field:
+    roundoff for the witness, as Tr(C u^H rho0 u) = Tr(rho0 L) / 2 = 0, and
+    large for a wrong coupling or frame.  Flow trajectories are geodesics,
+    fixed by start and initial tangent, so this is the whole claim.
     """
-    if time_grid is None:
-        time_grid = np.linspace(0.0, 1.0, 17)
-    times = np.asarray(time_grid, dtype=float)
-    c, v, v_h, rho_hat = spec._frame
-    # A phase makes det u = 1 and cancels in u^H rho0 u = v^H rho0 v.
-    phase = np.linalg.det(v) ** (-1.0 / spec.dim)
-    u, u_h = v * phase, v_h * np.conj(phase)
-    flow = _spectral_curve(c[None], u[None], u_h[None], rho_hat[None], times)[0]
-    gaps = np.linalg.norm(flow - _geodesic_curves([spec], times)[0], axis=(-2, -1))
-    residual = float(gaps.max(initial=0.0))
+    c, v, _, _ = spec._frame
+    # A phase makes det u = 1; it cancels in u^H rho0 u.
+    u = v * np.linalg.det(v) ** (-1.0 / spec.dim)
     return ConjectureProbeResult(
         target_spec=spec,
         best_coupling=CouplingSpectrum(c),
         best_unitary=u,
-        residual=residual,
+        residual=_witness_residual(spec, c, u),
     )

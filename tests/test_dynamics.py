@@ -90,6 +90,23 @@ def test_integrate_step_too_large():
     with pytest.raises(q.StepTooLargeError) as exc:
         q.eahle_integrate(rho, coupling(8.0, -8.0), 3.0, 0.5)
     assert exc.value.time == 0.5
+    assert exc.value.min_eigenvalue < 0
+    assert str(exc.value).endswith("reduce the step size")
+
+
+def test_integrate_precision_floor_is_not_a_step_problem():
+    # the exact smallest eigenvalue 1 / (1 + e^{2t}) reaches TOL_PD near
+    # t = 13.8 at every step size, so the error must not advise a smaller one
+    rho = q.make_density(np.diag([0.5, 0.5]))
+    times = []
+    for dt in (1e-2, 1e-3):
+        with pytest.raises(q.StepTooLargeError) as exc:
+            q.eahle_integrate(rho, coupling(1.0, 0.0), 15.0, dt)
+        assert 0 < exc.value.min_eigenvalue <= q.TOL_PD
+        assert "reduce the step size" not in str(exc.value)
+        assert "a smaller step will not help" in str(exc.value)
+        times.append(exc.value.time)
+    assert times[0] == pytest.approx(times[1], abs=1e-2)
 
 
 def _first_error_of_separate_runs(starts, couplings, t_end, dt):

@@ -103,11 +103,14 @@ def test_geodesic_at_zero_returns_start():
 
 
 def test_geodesic_negative_time_flag():
+    # any finite t is evaluated: the curve run backward is the curve of the
+    # reversed tangent run forward
     spec = q.random_geodesic_spec(2, 3)
-    with pytest.raises(q.NegativeTimeDisabledError):
-        q.e_geodesic(spec, -0.5)
-    rho = q.e_geodesic(spec, -0.5, allow_negative=True)
+    reverse = q.TangentVector(-spec.initial_tangent.entries, spec.start)
+    rho = q.e_geodesic(spec, -0.5)
     assert abs(np.trace(rho.entries).real - 1) <= 1e-12
+    back = q.e_geodesic(q.GeodesicSpec(spec.start, reverse), 0.5)
+    assert frobenius(rho.entries - back.entries) <= 1e-12
 
 
 def test_geodesic_spec_base_mismatch():
@@ -188,15 +191,20 @@ def test_geodesic_validity_long_times():
 
 
 def test_transport_composition_reported():
-    # path-independence is not part of the contract; measure and report it
+    # path-independence holds exactly: the SLD shifts compose,
+    # L - Tr(rho2 L) I - Tr(rho3 (L - Tr(rho2 L) I)) I = L - Tr(rho3 L) I, so
+    # the gap is roundoff amplified by the SLD's 1 / lambda_min
     gaps = []
-    for k in range(10):
-        rho1 = q.random_density(3, 300 + k)
-        rho2 = q.random_density(3, 340 + k)
-        rho3 = q.random_density(3, 380 + k)
-        x = q.random_tangent(rho1, 420 + k)
-        via = q.e_transport(rho2, rho3, q.e_transport(rho1, rho2, x))
-        direct = q.e_transport(rho1, rho3, x)
-        gaps.append(frobenius(via.entries - direct.entries))
-    print(f"\ntransport composition gap over 10 random triples: max {max(gaps):.3e}")
-    assert all(np.isfinite(g) for g in gaps)
+    for n in (2, 3, 5, 8):
+        for k in range(10):
+            rho1 = q.random_density(n, 300 + k)
+            rho2 = q.random_density(n, 340 + k)
+            rho3 = q.random_density(n, 380 + k)
+            x = q.random_tangent(rho1, 420 + k)
+            via = q.e_transport(rho2, rho3, q.e_transport(rho1, rho2, x))
+            direct = q.e_transport(rho1, rho3, x)
+            gap = frobenius(via.entries - direct.entries)
+            lam_min = min(np.linalg.eigvalsh(r.entries)[0] for r in (rho1, rho2, rho3))
+            gaps.append(gap * lam_min / max(1.0, frobenius(direct.entries)))
+    print(f"\ntransport composition gap x lambda_min / max(1, |tau|): max {max(gaps):.3e}")
+    assert max(gaps) <= 100 * np.finfo(float).eps

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qssgeo as q
-from qssgeo.verify import suite_summary
+from qssgeo.geometry import _geodesic_curves
+from qssgeo.verify import _witness_residual, suite_summary
 
 
 def coupling(*values):
@@ -154,7 +155,7 @@ def test_initial_tangent_coincidence():
     gaps = []
     for dt in (1e-3, 1e-4):
         ahead = q.e_geodesic(spec, dt).entries
-        behind = q.e_geodesic(spec, -dt, allow_negative=True).entries
+        behind = q.e_geodesic(spec, -dt).entries
         fd = (ahead - behind) / (2 * dt)
         gaps.append(float(np.linalg.norm(fd - x0.entries)))
     assert gaps[0] <= 1e-5
@@ -195,3 +196,35 @@ def test_probe_witness_beyond_dimension_four():
     for n in (5, 8):
         result = q.conjecture_probe(q.random_geodesic_spec(n, 2))
         assert result.residual <= 1e-12
+
+
+def test_probe_residual_detects_wrong_witness():
+    # the residual is the gap between the witness flow's initial field and
+    # the target's tangent, so a wrong coupling or frame shows in it
+    for n in (2, 3, 5):
+        spec = q.random_geodesic_spec(n, 2)
+        result = q.conjecture_probe(spec)
+        c, u = result.best_coupling.values, result.best_unitary
+        assert _witness_residual(spec, c, u) == result.residual <= 1e-12
+        assert _witness_residual(spec, 2 * c, u) >= 1e-2
+        assert _witness_residual(spec, c, u[:, ::-1]) >= 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_probe_witness_flow_lands_on_geodesic(n):
+    # the converse end to end: the witness flow, integrated and conjugated
+    # back, meets the target geodesic on the whole grid; twice its coupling
+    # does not
+    spec = q.random_geodesic_spec(n, 2)
+    result = q.conjecture_probe(spec)
+    u = result.best_unitary
+    start = q.make_density(u.conj().T @ spec.start.entries @ u)
+    gaps = {}
+    for scale in (1.0, 2.0):
+        c = q.CouplingSpectrum(scale * result.best_coupling.values)
+        traj = q.eahle_integrate(start, c, 1.0, 1e-3)
+        flow = u @ traj.array @ u.conj().T
+        geodesic = _geodesic_curves([spec], traj.times)[0]
+        gaps[scale] = np.linalg.norm(flow - geodesic, axis=(-2, -1)).max()
+    assert gaps[1.0] <= 1e-6
+    assert gaps[2.0] >= 1e-2
