@@ -2,9 +2,9 @@
 
 Subcommands: ``geodesic``, ``eahle``, ``ahle``, ``closed-form``, ``verify``,
 ``probe``.  Vectors are comma-separated decimals on the command line;
-matrices travel only as JSON files.  ``QSSGEO_SEED`` overrides ``--seed``
-when set.  Exit codes: 0 success, 1 verification failure, 2 usage error
-(including unreadable input files), 3 numerical error.
+matrices travel only as JSON files.  ``QSSGEO_SEED`` overrides the ``--seed``
+of ``verify`` and ``probe`` when set.  Exit codes: 0 success, 1 verification
+failure, 2 usage error (including unreadable input files), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -103,13 +103,19 @@ def _build_parser() -> _Parser:
     def command(name, help):
         return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
-    def common(p, with_traj=True):
-        p.add_argument("--seed", type=_seed)
+    # --seed only where inputs are drawn at random, --format only where a trajectory is written.
+    options = {
+        "--seed": dict(type=_seed),
+        "--dt": dict(type=_positive),
+        "--t-end": dict(type=_positive),
+        "--format": dict(choices=["csv", "json"]),
+    }
+    trajectory = ("--dt", "--t-end", "--format")
+
+    def common(p, *flags):
         p.add_argument("--out", dest="output_path", help="output path, '-' for stdout")
-        if with_traj:
-            p.add_argument("--dt", type=_positive)
-            p.add_argument("--t-end", type=_positive)
-            p.add_argument("--format", choices=["csv", "json"])
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
     rho0 = dict(dest="input_path", required=True, help="start state, matrix JSON file")
     w0 = dict(type=_unit_vector, required=True, help="start vector, comma-separated")
@@ -119,37 +125,37 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho0", **rho0)
     p.add_argument("--x0", dest="tangent_path", help="initial tangent, matrix JSON file")
     p.add_argument("--c", **c | {"help": "coupling values; tangent becomes the flow field at rho0"})
-    common(p)
+    common(p, *trajectory)
 
     p = command("eahle", "integrate the matrix learning flow with RK4")
     p.add_argument("--rho0", **rho0)
     p.add_argument("--c", required=True, **c)
-    common(p)
+    common(p, *trajectory)
 
     p = command("ahle", "integrate the sphere learning rule with RK4")
     p.add_argument("--w0", **w0)
     p.add_argument("--c", required=True, **c)
-    common(p)
+    common(p, *trajectory)
 
     p = command("closed-form", "evaluate the sphere rule's exact solution")
     p.add_argument("--w0", **w0)
     p.add_argument("--c", required=True, **c)
     p.add_argument("--t", type=_finite, required=True, help="evaluation time")
-    common(p, with_traj=False)
+    common(p)
 
     p = command("verify", "run the randomized verification suite")
     p.add_argument("--n", dest="n_values", type=_dimensions, required=True,
                    help="dimensions, comma-separated")
     p.add_argument("--cases", type=_positive_int, help="cases per dimension")
     p.add_argument("--tol", type=_positive)
-    common(p)
+    common(p, "--seed", "--dt", "--t-end")
 
     p = command("probe", "construct a flow realizing a random geodesic")
     p.add_argument("--n", type=_dimension, required=True, help="dimension, at least 2")
     # The witness is closed-form, so there is nothing to restart; the flag is
     # still accepted because existing invocations pass it.
     p.add_argument("--restarts", type=_positive_int, help="ignored")
-    common(p, with_traj=False)
+    common(p, "--seed")
 
     return parser
 
@@ -198,7 +204,7 @@ def _cmd_geodesic(config: RunConfig) -> int:
     spec = GeodesicSpec(rho0, x0)
     _, times = _step_schedule(config.t_end, config.dt)
     states = _StateStack(_geodesic_curves([spec], times)[0])
-    traj = Trajectory(times, states, TrajectoryMeta("exact", config.dt, coupling_meta, config.seed))
+    traj = Trajectory(times, states, TrajectoryMeta("exact", config.dt, coupling_meta))
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
     return 0
 
@@ -206,7 +212,7 @@ def _cmd_geodesic(config: RunConfig) -> int:
 def _cmd_eahle(config: RunConfig) -> int:
     rho0 = make_density(io.load_matrix(config.input_path))
     coupling = CouplingSpectrum(config.coupling)
-    traj = eahle_integrate(rho0, coupling, config.t_end, config.dt, seed=config.seed)
+    traj = eahle_integrate(rho0, coupling, config.t_end, config.dt)
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
     return 0
 
@@ -214,7 +220,7 @@ def _cmd_eahle(config: RunConfig) -> int:
 def _cmd_ahle(config: RunConfig) -> int:
     w0 = SphereVector(config.w0)
     coupling = CouplingSpectrum(config.coupling)
-    traj = ahle_integrate(w0, coupling, config.t_end, config.dt, seed=config.seed)
+    traj = ahle_integrate(w0, coupling, config.t_end, config.dt)
     _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
     return 0
 

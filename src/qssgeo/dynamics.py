@@ -141,7 +141,6 @@ class TrajectoryMeta:
     integrator: str
     dt: float
     coupling: tuple
-    seed: int | None = None
 
 
 class _StateStack(Sequence):
@@ -351,11 +350,7 @@ def _ahle_integrate_batch(w0: np.ndarray, c: np.ndarray, t_end: float, dt: float
 
 
 def eahle_integrate(
-    rho0: DensityMatrix,
-    coupling: CouplingSpectrum,
-    t_end: float,
-    dt: float,
-    seed: int | None = None,
+    rho0: DensityMatrix, coupling: CouplingSpectrum, t_end: float, dt: float
 ) -> Trajectory:
     """Integrate the matrix flow with classical RK4 from ``rho0`` to ``t_end``.
 
@@ -368,7 +363,7 @@ def eahle_integrate(
     _check_dims(rho0, coupling, "state")
     c = coupling.values
     times, states = _eahle_integrate_batch(rho0.entries[None], c[None], t_end, dt)
-    meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()), seed)
+    meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()))
     return Trajectory(times, _StateStack(states[0]), meta)
 
 
@@ -379,17 +374,13 @@ def ahle_field(w: SphereVector, coupling: CouplingSpectrum) -> np.ndarray:
 
 
 def ahle_integrate(
-    w0: SphereVector,
-    coupling: CouplingSpectrum,
-    t_end: float,
-    dt: float,
-    seed: int | None = None,
+    w0: SphereVector, coupling: CouplingSpectrum, t_end: float, dt: float
 ) -> Trajectory:
     """Integrate the sphere rule with RK4, renormalizing the norm each step."""
     _check_dims(w0, coupling, "vector")
     c = coupling.values
     times, states = _ahle_integrate_batch(w0.values[None], c[None], t_end, dt)
-    meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()), seed)
+    meta = TrajectoryMeta("rk4", dt, tuple(c.tolist()))
     return Trajectory(times, _StateStack(states[0]), meta)
 
 

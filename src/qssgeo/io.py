@@ -91,7 +91,6 @@ def trajectory_to_json_dict(traj: Trajectory) -> dict:
             "integrator": traj.meta.integrator,
             "dt": traj.meta.dt,
             "coupling": list(traj.meta.coupling),
-            "seed": traj.meta.seed,
             "kind": kind,
             "n": traj.array.shape[1],
         },

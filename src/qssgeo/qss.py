@@ -107,7 +107,13 @@ def _check_states(a: np.ndarray):
     herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     h = hermitian_part(a)
     trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
-    smallest = np.linalg.eigvalsh(h)[:, 0]
+    try:
+        smallest = np.linalg.eigvalsh(h)[:, 0]
+    except np.linalg.LinAlgError:
+        # LAPACK fails on non-finite entries, which fail the Hermiticity check: decompose the rest.
+        smallest = np.full(len(h), np.nan)
+        hermitian = herm_dev <= TOL_HERM
+        smallest[hermitian] = np.linalg.eigvalsh(h[hermitian])[:, 0]
     ok = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE) & (smallest > TOL_PD)
     if ok.all():
         return h, None

@@ -42,15 +42,13 @@ from .qss import TOL_HERM, _freeze, frobenius, make_density, random_density
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of one verification case: per-time deviations and the verdict."""
+    """Outcome of one verification case: per-time deviations; the verdict is derived from them."""
 
     case_id: str
     n: int
     seed: int | None
-    max_deviation: float
     time_grid: np.ndarray
     per_time_deviation: np.ndarray
-    passed: bool
     tolerance: float
 
     def __post_init__(self):
@@ -58,20 +56,25 @@ class VerificationReport:
         devs = np.asarray(self.per_time_deviation, dtype=float)
         if grid.shape != devs.shape:
             raise ValueError("per_time_deviation must match time_grid in length")
-        if self.passed != (self.max_deviation <= self.tolerance):
-            raise ValueError("passed flag inconsistent with max_deviation vs tolerance")
         object.__setattr__(self, "time_grid", _freeze(grid))
         object.__setattr__(self, "per_time_deviation", _freeze(devs))
+
+    @property
+    def max_deviation(self) -> float:
+        return float(self.per_time_deviation.max())
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
 
 
 @dataclass(frozen=True, eq=False)
 class ConjectureProbeResult:
-    """The probe's witness: coupling, SU(n) element, residual."""
+    """The probe's witness: coupling and SU(n) element; the residual is derived from them."""
 
     target_spec: GeodesicSpec
     best_coupling: CouplingSpectrum
     best_unitary: np.ndarray
-    residual: float
 
     def __post_init__(self):
         u = np.asarray(self.best_unitary, dtype=complex)
@@ -84,20 +87,9 @@ class ConjectureProbeResult:
             raise ValueError(f"determinant is not 1: deviation {det_dev:.6e}")
         object.__setattr__(self, "best_unitary", _freeze(u.copy()))
 
-
-def _make_report(case_id, n, seed, grid, devs, tol) -> VerificationReport:
-    devs = np.asarray(devs, dtype=float)
-    max_dev = float(devs.max())
-    return VerificationReport(
-        case_id=case_id,
-        n=n,
-        seed=seed,
-        max_deviation=max_dev,
-        time_grid=np.asarray(grid, dtype=float),
-        per_time_deviation=devs,
-        passed=max_dev <= tol,
-        tolerance=tol,
-    )
+    @property
+    def residual(self) -> float:
+        return _witness_residual(self.target_spec, self.best_coupling.values, self.best_unitary)
 
 
 def _flow_deviations(rho0s, couplings, t_end: float, dt: float):
@@ -155,7 +147,7 @@ def verify_geodesic_coincidence(
     are Frobenius norms on the integrator's own grid (no interpolation).
     """
     times, devs = _flow_deviations([rho0], [coupling], t_end, dt)
-    return _make_report(case_id, rho0.dim, seed, times, devs[0], tol)
+    return VerificationReport(case_id, rho0.dim, seed, times, devs[0], tol)
 
 
 def verify_sphere_closed_form(
@@ -175,7 +167,7 @@ def verify_sphere_closed_form(
     the pointwise worse of the two.
     """
     times, devs = _sphere_deviations([w0], [coupling], t_end, dt)
-    return _make_report(case_id, w0.dim, seed, times, devs[0], tol)
+    return VerificationReport(case_id, w0.dim, seed, times, devs[0], tol)
 
 
 def run_suite(
@@ -216,10 +208,10 @@ def run_suite(
         times, flow_devs = _flow_deviations(rho0s, couplings, t_end, dt)
         _, sphere_devs = _sphere_deviations(w0s, couplings, t_end, dt)
         for k, case_seed in enumerate(seeds):
-            reports.append(_make_report(
+            reports.append(VerificationReport(
                 f"flow-vs-geodesic/n{n}/case{k:02d}", n, case_seed, times, flow_devs[k], tol
             ))
-            reports.append(_make_report(
+            reports.append(VerificationReport(
                 f"sphere-closed-form/n{n}/case{k:02d}", n, case_seed, times, sphere_devs[k], tol
             ))
     return reports
@@ -257,9 +249,4 @@ def conjecture_probe(spec: GeodesicSpec) -> ConjectureProbeResult:
     c, v, _, _ = spec._frame
     # A phase makes det u = 1; it cancels in u^H rho0 u.
     u = v * np.linalg.det(v) ** (-1.0 / spec.dim)
-    return ConjectureProbeResult(
-        target_spec=spec,
-        best_coupling=CouplingSpectrum(c),
-        best_unitary=u,
-        residual=_witness_residual(spec, c, u),
-    )
+    return ConjectureProbeResult(spec, CouplingSpectrum(c), u)

@@ -228,7 +228,7 @@ def test_criterion_09_conservation(coincidence_cases):
     min_eig = np.inf
     for n, seed, c in coincidence_cases:
         rho0 = q.random_density(n, seed)
-        traj = q.eahle_integrate(rho0, q.CouplingSpectrum(c), 1.0, 1e-3, seed=seed)
+        traj = q.eahle_integrate(rho0, q.CouplingSpectrum(c), 1.0, 1e-3)
         for state in traj.states:
             worst_trace = max(worst_trace, abs(float(np.trace(state.entries).real) - 1))
             worst_herm = max(worst_herm, hermitian_deviation(state.entries))

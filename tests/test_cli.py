@@ -1,5 +1,6 @@
 """Tests for argument parsing, command dispatch, and the exit-code contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import qssgeo
 from qssgeo import io
-from qssgeo.cli import main, parse_args, run
+from qssgeo.cli import _build_parser, main, parse_args, run
 from qssgeo.errors import UsageError
 
 
@@ -299,6 +300,7 @@ def test_run_config_is_usable_directly(tmp_path):
 def _write_inputs(path):
     """Valid and unreadable input files, named as the argv below name them."""
     io.save_matrix(str(path / "rho.json"), np.eye(2) / 2)
+    io.save_matrix(str(path / "rho3.json"), np.diag([0.4, 0.3, 0.3]))
     io.save_matrix(str(path / "x.json"), np.diag([0.1, -0.1]))
     (path / "latin1.json").write_bytes(b'{"n": 2, "note": "\xe9"}')
     (path / "huge_n.json").write_text('{"n": 1e400, "re": [[1]], "im": [[0]]}')
@@ -355,11 +357,16 @@ def test_unreadable_path_is_usage_error(argv, tmp_path):
     [
         ["ahle", "--w0=0.6,0.8", "--c=1e200,0", "--t-end", "0.01", "--dt", "0.01"],
         ["eahle", "--rho0", "rho.json", "--c=1e200,0", "--t-end", "0.01", "--dt", "0.01"],
+        # from n = 3 LAPACK rejects the overflowed state's NaN; the Hermitian
+        # check must still report it
+        ["eahle", "--rho0", "rho3.json", "--c=1e200,0,0", "--t-end", "0.01", "--dt", "0.01"],
+        # the exact geodesic leaves the state space: smallest eigenvalue 3.7e-44 at t = 5
+        ["geodesic", "--rho0", "rho.json", "--c", "5,-5", "--t-end", "5", "--dt", "0.1"],
     ],
 )
 def test_overflowing_flow_is_numerical_error(argv, tmp_path):
-    # the state overflows in the first RK4 step; the step check reports it
-    # as one line, with no RuntimeWarning before it
+    # the state overflows in the first RK4 step, or leaves the state space;
+    # the state check reports it as one line, with no RuntimeWarning before it
     _write_inputs(tmp_path)
     _assert_one_line_exit(_run_cli(argv, tmp_path), 3)
 
@@ -370,13 +377,13 @@ _VALID = {
     "--n": "2", "--cases": "1", "--tol": "1e-6", "--restarts": "1", "--t-end": "0.01",
     "--dt": "0.005", "--format": "json", "--seed": "3", "--out": "out.txt",
 }
-_TRAJECTORY = ["--t-end", "--dt", "--format", "--seed", "--out"]
+_TRAJECTORY = ["--t-end", "--dt", "--format", "--out"]
 _COMMAND_FLAGS = {
-    "geodesic": ["--rho0", "--c", *_TRAJECTORY],
+    "geodesic": ["--rho0", "--x0", "--c", *_TRAJECTORY],
     "eahle": ["--rho0", "--c", *_TRAJECTORY],
     "ahle": ["--w0", "--c", *_TRAJECTORY],
-    "closed-form": ["--w0", "--c", "--t", "--seed", "--out"],
-    "verify": ["--n", "--cases", "--tol", *_TRAJECTORY],
+    "closed-form": ["--w0", "--c", "--t", "--out"],
+    "verify": ["--n", "--cases", "--tol", "--seed", "--t-end", "--dt", "--out"],
     "probe": ["--n", "--restarts", "--seed", "--out"],
 }
 _BAD_VALUES = [
@@ -394,7 +401,8 @@ def _argv(draw):
     are never left out, so that no run takes long.
     """
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
-    flags = {flag: _VALID[flag] for flag in _COMMAND_FLAGS[command]}
+    # geodesic takes one of --x0 and --c; a valid argv starts with --c
+    flags = {flag: _VALID[flag] for flag in _COMMAND_FLAGS[command] if flag != "--x0"}
     edit = st.tuples(
         st.sampled_from(_COMMAND_FLAGS[command] + sorted(_VALID)),
         st.sampled_from([None, "valid", *_BAD_VALUES]),
@@ -424,3 +432,32 @@ def test_cli_fuzz_keeps_exit_code_contract(argv, tmp_path, monkeypatch, capsys):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     capsys.readouterr()
+
+
+def test_command_flags_match_parser():
+    # the fuzz above draws from _COMMAND_FLAGS, so a flag added to or dropped
+    # from a command without the table knowing fails here
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == sorted(_COMMAND_FLAGS)
+    for name, parser in commands.choices.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert flags - {"-h", "--help"} == set(_COMMAND_FLAGS[name]), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--format", "csv"],
+        ["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "1", "--seed", "1"],
+        ["geodesic", "--rho0", "rho.json", "--c", "1,0", "--seed", "1"],
+        ["eahle", "--rho0", "rho.json", "--c", "1,0", "--seed", "1"],
+        ["ahle", "--w0", "0.6,0.8", "--c", "1,0", "--seed", "1"],
+    ],
+)
+def test_unread_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # only verify and probe draw random inputs, and only the trajectory
+    # commands choose a format; elsewhere the flag is unknown
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

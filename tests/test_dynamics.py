@@ -167,6 +167,9 @@ def test_trajectory_array_is_read_only():
     assert traj.array.shape == (6, 3, 3)
     assert not traj.array.flags.writeable
     assert not traj.states[2].entries.flags.writeable
+    window = traj.states[1:4]
+    assert isinstance(window, tuple) and len(window) == 3
+    assert all(np.array_equal(s.entries, row) for s, row in zip(window, traj.array[1:4]))
     with pytest.raises(ValueError):
         traj.array[0, 0, 0] = 1.0
     sphere = q.ahle_integrate(q.SphereVector(np.array([0.6, 0.8])), coupling(1.0, 0.0), 0.05, 1e-2)

@@ -111,6 +111,10 @@ def test_geodesic_negative_time_flag():
     assert abs(np.trace(rho.entries).real - 1) <= 1e-12
     back = q.e_geodesic(q.GeodesicSpec(spec.start, reverse), 0.5)
     assert frobenius(rho.entries - back.entries) <= 1e-12
+    # a non-finite t is refused before any arithmetic
+    for t in (np.inf, -np.inf, np.nan):
+        with pytest.raises(q.InvalidValueError):
+            q.e_geodesic(spec, t)
 
 
 def test_geodesic_spec_base_mismatch():
@@ -118,6 +122,9 @@ def test_geodesic_spec_base_mismatch():
     rho2 = q.random_density(2, 2)
     with pytest.raises(q.BaseMismatchError):
         q.GeodesicSpec(rho2, q.random_tangent(rho1, 3))
+    # transport leaves this check to sld
+    with pytest.raises(q.BaseMismatchError):
+        q.e_transport(rho2, rho1, q.random_tangent(rho1, 3))
 
 
 def test_autoparallel_zero_tangent():
@@ -188,6 +195,12 @@ def test_geodesic_validity_long_times():
         for t in (0.0, 1.0, 10.0, 50.0):
             rho = q.e_geodesic(spec, t)
             assert abs(np.trace(rho.entries).real - 1) <= q.TOL_TRACE
+    # past the boundary construction fails loudly: from I/2 along diag(5, -5)
+    # the smallest eigenvalue at t = 5 is 1 / (1 + e^100), below TOL_PD
+    rho = q.make_density(np.eye(2) / 2)
+    spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, q.CouplingSpectrum([5.0, -5.0])))
+    with pytest.raises(q.NotPositiveDefiniteError):
+        q.e_geodesic(spec, 5.0)
 
 
 def test_transport_composition_reported():

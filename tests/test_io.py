@@ -137,7 +137,7 @@ def test_probe_result_json():
 
 
 def fixed_trajectories():
-    meta = q.TrajectoryMeta("rk4", 0.25, (1.0, -0.5), 7)
+    meta = q.TrajectoryMeta("rk4", 0.25, (1.0, -0.5))
     times = np.array([0.0, 0.25])
     density = q.Trajectory(times, [
         q.make_density([[2 / 3, 0.1 - 0.2j], [0.1 + 0.2j, 1 / 3]]),
@@ -166,7 +166,7 @@ SPHERE_CSV = (
 )
 META_JSON = (
     '{\n  "meta": {\n    "integrator": "rk4",\n    "dt": 0.25,\n    "coupling": [\n'
-    '      1.0,\n      -0.5\n    ],\n    "seed": 7,\n    "kind": "%s",\n    "n": 2\n'
+    '      1.0,\n      -0.5\n    ],\n    "kind": "%s",\n    "n": 2\n'
     '  },\n  "times": [\n    0.0,\n    0.25\n  ],\n'
 )
 DENSITY_JSON = META_JSON % "density" + (

@@ -31,6 +31,9 @@ def test_make_density_rejects_non_hermitian():
     with pytest.raises(q.NotHermitianError) as exc:
         q.make_density(bad)
     assert exc.value.deviation == pytest.approx(0.3)
+    # NaN fails the Hermitian check at every size, also where LAPACK rejects it (n >= 3)
+    with pytest.raises(q.NotHermitianError):
+        q.make_density(np.full((3, 3), np.nan))
 
 
 def test_make_density_rejects_wrong_trace():
@@ -198,8 +201,9 @@ def test_fisher_metric_symmetry():
 def test_fisher_metric_base_mismatch():
     rho1 = q.random_density(2, 1)
     rho2 = q.random_density(2, 2)
-    with pytest.raises(q.BaseMismatchError):
-        q.fisher_metric(rho1, q.random_tangent(rho1, 3), q.random_tangent(rho2, 4))
+    for metric in (q.fisher_metric, q.fisher_metric_eigenbasis):
+        with pytest.raises(q.BaseMismatchError):
+            metric(rho1, q.random_tangent(rho1, 3), q.random_tangent(rho2, 4))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

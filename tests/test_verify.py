@@ -41,10 +41,12 @@ def test_coincidence_random_case():
 def test_report_invariant_enforced():
     with pytest.raises(ValueError):
         q.VerificationReport(
-            case_id="x", n=2, seed=0, max_deviation=1.0,
-            time_grid=np.array([0.0]), per_time_deviation=np.array([1.0]),
-            passed=True, tolerance=1e-6,
+            case_id="x", n=2, seed=0, time_grid=np.array([0.0]),
+            per_time_deviation=np.array([1.0, 0.0]), tolerance=1e-6,
         )
+    # the verdict is derived from the deviations, so it cannot contradict them
+    report = q.VerificationReport("x", 2, 0, np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1e-6)
+    assert report.max_deviation == 1.0 and report.passed is False
 
 
 def test_sphere_check_near_vertex():
@@ -208,6 +210,10 @@ def test_probe_residual_detects_wrong_witness():
         assert _witness_residual(spec, c, u) == result.residual <= 1e-12
         assert _witness_residual(spec, 2 * c, u) >= 1e-2
         assert _witness_residual(spec, c, u[:, ::-1]) >= 1e-2
+        # the witness must be special unitary: 2u is not unitary, a column swap has det -1
+        for bad in (2 * u, u[:, [1, 0, *range(2, n)]]):
+            with pytest.raises(ValueError):
+                q.ConjectureProbeResult(spec, result.best_coupling, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
