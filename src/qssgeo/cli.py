@@ -169,7 +169,7 @@ def parse_args(argv) -> RunConfig:
     fields = vars(_build_parser().parse_args(argv))
     fields.pop("restarts", None)
     env_seed = os.environ.get("QSSGEO_SEED")
-    if env_seed is not None:
+    if env_seed is not None and fields["command"] in ("verify", "probe"):
         try:
             fields["seed"] = _seed(env_seed)
         except argparse.ArgumentTypeError as exc:

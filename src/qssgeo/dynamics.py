@@ -36,6 +36,7 @@ from .errors import (
     InvalidStepError,
     InvalidValueError,
     NotPositiveDefiniteError,
+    QssError,
     StepTooLargeError,
     ZeroComponentError,
 )
@@ -56,17 +57,14 @@ TOL_ZERO = 1e-12
 _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
 
 
-def _unit_failure(v: np.ndarray):
-    """``None`` when every row of the (B, n) stack is a finite unit vector.
-
-    Otherwise ``(index, InvalidValueError)`` for the first row that is not.
-    """
-    norm_dev = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
-    ok = np.isfinite(v).all(axis=-1) & (norm_dev <= TOL_SPHERE)
-    if ok.all():
-        return None
-    i = int(np.argmin(ok))
-    return i, InvalidValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[i]:.6e}")
+def _check_vectors(v: np.ndarray) -> np.ndarray:
+    """Return the (..., n) stack ``v``; its first non-unit vector raises InvalidValueError."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
+        norm_dev = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+    bad = ~(norm_dev <= TOL_SPHERE)  # a non-finite vector has a NaN or infinite norm
+    if bad.any():
+        raise InvalidValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[bad][0]:.6e}")
+    return v
 
 
 def _check_dims(a, b, what: str) -> None:
@@ -76,22 +74,21 @@ def _check_dims(a, b, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Vector:
-    """A finite, read-only 1-d vector; each subclass adds its constraint in ``_check``."""
+    """A finite, read-only 1-d vector; a subclass checks and returns its values in ``_check``."""
 
     values: np.ndarray
-    _dtype = float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=self._dtype)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 1:
             raise InvalidValueError(f"expected a 1-d vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidValueError("vector entries must be finite")
-        self._check(v)
+        v = self._check(v)
         object.__setattr__(self, "values", _freeze(v))
 
-    def _check(self, v: np.ndarray) -> None:
-        pass
+    def _check(self, v: np.ndarray) -> np.ndarray:
+        return v
 
     @property
     def dim(self) -> int:
@@ -107,33 +104,31 @@ class CouplingSpectrum(_Vector):
 class SphereVector(_Vector):
     """A unit vector in R^n (within TOL_SPHERE)."""
 
-    def _check(self, v: np.ndarray) -> None:
-        failure = _unit_failure(v[None])
-        if failure is not None:
-            raise failure[1]
+    def _check(self, v: np.ndarray) -> np.ndarray:
+        return _check_vectors(v)
 
 
 @dataclass(frozen=True, eq=False)
 class SignVector(_Vector):
-    """An orthant label: entries exactly +1 or -1."""
+    """An orthant label: entries exactly +1 or -1, kept as integers."""
 
-    _dtype = int
-
-    def _check(self, v: np.ndarray) -> None:
+    def _check(self, v: np.ndarray) -> np.ndarray:
         if not np.all(np.abs(v) == 1):
             raise InvalidValueError("sign entries must be exactly +1 or -1")
+        return v.astype(int)
 
 
 @dataclass(frozen=True, eq=False)
 class SimplexPoint(_Vector):
     """A point of the open probability simplex: theta_j > 0, sum theta_j = 1."""
 
-    def _check(self, v: np.ndarray) -> None:
+    def _check(self, v: np.ndarray) -> np.ndarray:
         if not np.all(v > 0):
             raise InvalidValueError("simplex coordinates must be strictly positive")
         sum_dev = abs(float(v.sum()) - 1.0)
         if sum_dev > TOL_TRACE:
             raise InvalidValueError(f"simplex coordinates must sum to 1: deviation {sum_dev:.6e}")
+        return v
 
 
 @dataclass(frozen=True)
@@ -250,9 +245,9 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     too large for memory raises MemoryError: here when no float array can
     have that many entries, else when its arrays are allocated.
     """
-    if t_end <= 0:
-        raise InvalidStepError(f"t_end must be positive, got {t_end}")
-    if dt <= 0 or dt > t_end:
+    if not 0 < t_end < np.inf:
+        raise InvalidStepError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < dt <= t_end:
         raise InvalidStepError(f"dt must satisfy 0 < dt <= t_end, got dt={dt}")
     if not t_end / dt < _MAX_STEPS:
         raise MemoryError(f"t_end / dt = {t_end / dt:.6g} steps exceed the largest array")
@@ -265,20 +260,17 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return steps, times
 
 
-def _renormalize_states(y: np.ndarray, t: float):
+def _renormalize_states(y: np.ndarray, t: float) -> np.ndarray:
     y = y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None]
-    y, failure = _check_states(y)
-    if failure is not None and isinstance(failure[1], NotPositiveDefiniteError):
-        i, cause = failure
-        error = StepTooLargeError(float(t), cause.min_eigenvalue)
-        error.__cause__ = cause
-        failure = i, error
-    return y, failure
+    try:
+        return _check_states(y)
+    except NotPositiveDefiniteError as cause:
+        raise StepTooLargeError(float(t), cause.min_eigenvalue) from cause
 
 
-def _renormalize_vectors(v: np.ndarray, t: float):
+def _renormalize_vectors(v: np.ndarray, t: float) -> np.ndarray:
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return v, _unit_failure(v)
+    return _check_vectors(v)
 
 
 def _mapped_empty(shape, dtype) -> np.ndarray:
@@ -305,33 +297,35 @@ def _integrate_batch(field, renormalize, y0: np.ndarray, c: np.ndarray, t_end: f
 
     Returns the grid times and all (B, T, ...) states, starting with y0.
     ``renormalize(y, t)`` maps the states after a step back to the state
-    space and returns them with ``None``, or with ``(index, error)`` for the
-    first state that is no longer valid.  The error raised is the one the
-    cases would raise if run one after another: a failing case and the
-    cases after it are dropped, the earlier ones run on, and the first case
-    that ever failed gives the error once they are done.
+    space and returns them, or raises for the first that is no longer valid.
+    The error raised is the one the cases would raise if run one after
+    another: a batch of several cases stops at its first failing step and
+    runs the cases again one at a time, which costs up to one more run of
+    the cases before the failing one.
     """
     steps, times = _step_schedule(t_end, dt)
     out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
     out[:, 0] = y0
-    y, error = y0, None
-    # A state that overflows is non-finite, which renormalize reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, h in enumerate(steps, start=1):
-            k1 = field(y, c)
-            k2 = field(y + 0.5 * h * k1, c)
-            k3 = field(y + 0.5 * h * k2, c)
-            k4 = field(y + h * k3, c)
-            y, failure = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
-            if failure is not None:
-                i, error = failure
-                y, c = y[:i], c[:i]
-                if not i:
-                    break
-            out[: len(y), s] = y
-    if error is not None:
-        raise error
-    return times, out
+    y = y0
+    try:
+        # A state that overflows is non-finite, which renormalize reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, h in enumerate(steps, start=1):
+                k1 = field(y, c)
+                k2 = field(y + 0.5 * h * k1, c)
+                k3 = field(y + 0.5 * h * k2, c)
+                k4 = field(y + h * k3, c)
+                y = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
+                out[:, s] = y
+        return times, out
+    except QssError:
+        if len(y0) == 1:
+            raise
+    # Each case runs bit for bit as in the batch, so the first that fails
+    # alone raises; out here, its error does not chain the batch's.
+    for k in range(len(y0)):
+        _integrate_batch(field, renormalize, y0[k : k + 1], c[k : k + 1], t_end, dt)
+    raise AssertionError("a failed batch ran clean one case at a time")
 
 
 def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
@@ -397,10 +391,7 @@ def _sphere_curve(w0: np.ndarray, c: np.ndarray, times: np.ndarray) -> np.ndarra
     s = _exp_weights(np.where(support, c, floor), times) * w0[:, None, :]
     s /= np.abs(s).max(axis=-1, keepdims=True)
     s /= np.linalg.norm(s, axis=-1, keepdims=True)
-    failure = _unit_failure(s.reshape(-1, s.shape[-1]))
-    if failure is not None:
-        raise failure[1]
-    return s
+    return _check_vectors(s)
 
 
 def ahle_closed_form(w0: SphereVector, coupling: CouplingSpectrum, t: float) -> SphereVector:

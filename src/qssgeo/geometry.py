@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStepError, InvalidValueError
+from .errors import DimensionMismatchError, InvalidStepError
 from .qss import (
     DensityMatrix,
     SldMatrix,
@@ -111,8 +111,6 @@ def _geodesic_blocks(specs, times):
     # V and V^H are contiguous, so the stacked matmul stays on BLAS.
     rates, frame, frame_h, start_hat = (np.stack(p) for p in zip(*(s._frame for s in specs)))
     times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():
-        raise InvalidValueError("geodesic times must be finite")
     b, n = rates.shape
     size = max(1, _BLOCK_BYTES // (16 * b * n * n))
     for lo in range(0, len(times), size):
@@ -122,10 +120,7 @@ def _geodesic_blocks(specs, times):
         m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
         # Rebinding m frees the scaled S before the state check allocates.
         m = frame[:, None] @ m @ frame_h[:, None]
-        states, failure = _check_states(m.reshape(-1, n, n))
-        if failure is not None:
-            raise failure[1]
-        yield block, states.reshape(b, -1, n, n)
+        yield block, _check_states(m)
 
 
 def _geodesic_curves(specs, times) -> np.ndarray:

@@ -55,8 +55,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_deviation(a: np.ndarray) -> float:
-    """Return max |A - A^H|, the distance from being Hermitian."""
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
+    """Return max |A - A^H|, the distance from being Hermitian; not finite for non-finite A."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -96,35 +97,33 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _check_states(a: np.ndarray):
-    """Check the three state invariants on every matrix of a (B, n, n) stack.
+def _check_states(a: np.ndarray) -> np.ndarray:
+    """Check the three state invariants on a matrix or every matrix of a (..., n, n) stack.
 
-    Returns the symmetrized stack and ``None``, or, when some matrix breaks
-    an invariant, the stack and ``(index, error)`` for the first such matrix:
-    the error :class:`DensityMatrix` raises for it.  Non-finite entries fail
-    the Hermiticity check.
+    Returns the symmetrized stack.  When some matrix breaks an invariant,
+    raises the error :class:`DensityMatrix` raises for the first such
+    matrix.  Non-finite entries fail the Hermiticity check.
     """
-    herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    h = hermitian_part(a)
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        h = hermitian_part(a)
     trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
     try:
-        smallest = np.linalg.eigvalsh(h)[:, 0]
+        smallest = np.linalg.eigvalsh(h)[..., 0]
     except np.linalg.LinAlgError:
         # LAPACK fails on non-finite entries, which fail the Hermiticity check: decompose the rest.
-        smallest = np.full(len(h), np.nan)
+        smallest = np.full(herm_dev.shape, np.nan)
         hermitian = herm_dev <= TOL_HERM
-        smallest[hermitian] = np.linalg.eigvalsh(h[hermitian])[:, 0]
+        smallest[hermitian] = np.linalg.eigvalsh(h[hermitian])[..., 0]
     ok = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE) & (smallest > TOL_PD)
     if ok.all():
-        return h, None
-    i = int(np.argmin(ok))
+        return h
+    i = np.unravel_index(np.argmin(ok), ok.shape)
     if not herm_dev[i] <= TOL_HERM:
-        error = NotHermitianError(float(herm_dev[i]))
-    elif not trace_dev[i] <= TOL_TRACE:
-        error = NotUnitTraceError(float(trace_dev[i]))
-    else:
-        error = NotPositiveDefiniteError(float(smallest[i]))
-    return h, (i, error)
+        raise NotHermitianError(float(herm_dev[i]))
+    if not trace_dev[i] <= TOL_TRACE:
+        raise NotUnitTraceError(float(trace_dev[i]))
+    raise NotPositiveDefiniteError(float(smallest[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +139,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _as_square_complex(self.entries)
-        h, failure = _check_states(a[None])
-        if failure is not None:
-            raise failure[1]
-        object.__setattr__(self, "entries", _freeze(h[0]))
+        h = _check_states(a)
+        object.__setattr__(self, "entries", _freeze(h))
 
     @property
     def dim(self) -> int:
@@ -350,13 +347,15 @@ def fisher_metric_eigenbasis(rho: DensityMatrix, x: TangentVector, y: TangentVec
 def _exp_weights(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(t * (rates - shift)) for every time: (..., n) rates, (T,) times -> (..., T, n).
 
-    The shift is the largest rate for t >= 0 and the smallest for t < 0.  It
-    is taken off the rates before they are multiplied by t, so every
-    exponent is <= 0 and no finite t overflows; the largest weight is 1.
-    The callers normalize, which cancels the shift.
+    The shift is the largest rate for t >= 0 and the smallest for t < 0,
+    taken off the rates before they are multiplied by t: every exponent is
+    <= 0, the largest weight is 1 and no finite t overflows; a non-finite t
+    raises InvalidValueError.  The callers normalize, which cancels the shift.
     """
     rates = np.asarray(rates, dtype=float)[..., None, :]
     t = np.asarray(times, dtype=float)[:, None]
+    if not np.isfinite(t).all():
+        raise InvalidValueError("evaluation times must be finite")
     shift = np.where(t >= 0, rates.max(axis=-1, keepdims=True), rates.min(axis=-1, keepdims=True))
     # A product that overflows is -inf, whose weight 0 is the exact limit.
     with np.errstate(over="ignore"):

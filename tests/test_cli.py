@@ -63,13 +63,21 @@ def test_parse_geodesic_needs_one_tangent_source():
         parse_args(["geodesic", "--rho0", "rho.json", "--x0", "x.json", "--c", "1,0"])
 
 
-def test_env_seed_override(monkeypatch):
+def test_env_seed_override(monkeypatch, capsys):
     monkeypatch.setenv("QSSGEO_SEED", "777")
     config = parse_args(["verify", "--n", "2", "--seed", "1"])
     assert config.seed == 777
     monkeypatch.setenv("QSSGEO_SEED", "not-a-number")
     with pytest.raises(UsageError, match="QSSGEO_SEED"):
         parse_args(["verify", "--n", "2"])
+    # commands without --seed ignore the variable
+    argv = ["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "1"]
+    assert parse_args(argv).seed == 0
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.delenv("QSSGEO_SEED")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_closed_form_stdout(capsys):

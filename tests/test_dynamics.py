@@ -192,6 +192,10 @@ def test_integrate_rejects_bad_steps():
         q.eahle_integrate(rho, coupling(1.0, 0.0), -1.0, 1e-3)
     with pytest.raises(q.InvalidStepError):
         q.eahle_integrate(rho, coupling(1.0, 0.0), 1.0, 2.0)
+    # a non-finite grid is a bad step, not a grid too large for memory
+    for t_end, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (np.inf, np.inf)):
+        with pytest.raises(q.InvalidStepError):
+            q.eahle_integrate(rho, coupling(1.0, 0.0), t_end, dt)
 
 
 def test_diagonal_start_stays_diagonal():
@@ -506,6 +510,7 @@ def test_fixed_points_iff_scalar_action():
         (q.SphereVector, [np.nan, 1.0]),
         (q.SimplexPoint, [np.nan, 1.0]),
         (q.CouplingSpectrum, [np.inf, 0.0]),
+        (q.SignVector, [np.inf, 1.0]),
     ],
 )
 def test_value_classes_reject_non_finite(cls, values):
@@ -528,8 +533,14 @@ def test_trajectory_validates_times():
         (q.SignVector, [1, 0]),
         (q.SimplexPoint, [0.5, 0.6]),
         (q.SimplexPoint, [1.5, -0.5]),
+        # checked as floats, so not truncated to (1, -1) or overflowing an int
+        (q.SignVector, [1.5, -1]),
+        (q.SignVector, [np.inf, 1]),
+        # finite entries whose norm overflows fail without a RuntimeWarning
+        (q.SphereVector, [1e200, 1e200]),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_value_class_errors_are_qss_errors(cls, values):
     # one error type serves both callers: ValueError handlers and the CLI's QssError
     with pytest.raises(q.InvalidValueError) as exc:

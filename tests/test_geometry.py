@@ -102,6 +102,7 @@ def test_geodesic_at_zero_returns_start():
     assert frobenius(q.e_geodesic(spec, 0.0).entries - spec.start.entries) <= q.TOL_RECON
 
 
+@pytest.mark.filterwarnings("error")
 def test_geodesic_negative_time_flag():
     # any finite t is evaluated: the curve run backward is the curve of the
     # reversed tangent run forward
@@ -111,10 +112,15 @@ def test_geodesic_negative_time_flag():
     assert abs(np.trace(rho.entries).real - 1) <= 1e-12
     back = q.e_geodesic(q.GeodesicSpec(spec.start, reverse), 0.5)
     assert frobenius(rho.entries - back.entries) <= 1e-12
-    # a non-finite t is refused before any arithmetic
+    # a non-finite t is refused before any arithmetic, here and by the closed forms
+    w0, c = q.SphereVector([0.6, 0.8]), q.CouplingSpectrum([1.0, 0.0])
     for t in (np.inf, -np.inf, np.nan):
         with pytest.raises(q.InvalidValueError):
             q.e_geodesic(spec, t)
+        with pytest.raises(q.InvalidValueError):
+            q.ahle_closed_form(w0, c, t)
+        with pytest.raises(q.InvalidValueError):
+            q.diagonal_closed_form(q.SimplexPoint([0.36, 0.64]), c, t)
 
 
 def test_geodesic_spec_base_mismatch():

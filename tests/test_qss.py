@@ -26,14 +26,17 @@ def test_make_density_rejects_boundary():
     assert exc.value.min_eigenvalue <= q.TOL_PD
 
 
+@pytest.mark.filterwarnings("error")
 def test_make_density_rejects_non_hermitian():
     bad = np.array([[0.5, 0.3], [0.0, 0.5]])
     with pytest.raises(q.NotHermitianError) as exc:
         q.make_density(bad)
     assert exc.value.deviation == pytest.approx(0.3)
-    # NaN fails the Hermitian check at every size, also where LAPACK rejects it (n >= 3)
-    with pytest.raises(q.NotHermitianError):
-        q.make_density(np.full((3, 3), np.nan))
+    # NaN fails the Hermitian check at every size, also where LAPACK rejects it
+    # (n >= 3); so does an infinite entry, without a RuntimeWarning
+    for bad in (np.full((3, 3), np.nan), np.diag([np.inf, 0.3, 0.3])):
+        with pytest.raises(q.NotHermitianError):
+            q.make_density(bad)
 
 
 def test_make_density_rejects_wrong_trace():
@@ -278,6 +281,7 @@ def test_density_matrix_immutable():
         rho.entries[0, 0] = 9.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_attached_matrices_share_shape_and_base_checks():
     rho = q.random_density(2, 1)
     for cls in (q.TangentVector, q.SldMatrix):
@@ -285,7 +289,11 @@ def test_attached_matrices_share_shape_and_base_checks():
             cls(np.zeros((2, 3)), rho)
         with pytest.raises(q.BaseMismatchError, match=cls.__name__):
             cls(np.zeros((3, 3)), rho)
-        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)):
+        for bad in (
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.full((2, 2), np.nan),
+            np.diag([np.inf, -np.inf]),
+        ):
             with pytest.raises(q.NotHermitianError):
                 cls(bad, rho)
         m = cls(np.zeros((2, 2)), rho)
