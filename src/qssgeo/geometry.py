@@ -148,8 +148,8 @@ def autoparallel_residual(spec: GeodesicSpec, t: float, dt_fd: float) -> float:
     ``dt_fd``, so the returned residual is O(dt_fd^2) for a true autoparallel
     curve.
     """
-    if dt_fd <= 0 or dt_fd >= t:
-        raise InvalidStepError(f"step must satisfy 0 < dt_fd < t, got dt_fd={dt_fd}, t={t}")
+    if not 0 < dt_fd < t < np.inf:  # NaN fails too
+        raise InvalidStepError(f"step must satisfy 0 < dt_fd < t < inf, got dt_fd={dt_fd}, t={t}")
     behind, here, ahead = _geodesic_curves([spec], [t - dt_fd, t, t + dt_fd])[0]
     velocity_fd = (ahead - behind) / (2.0 * dt_fd)
     here = _unchecked(DensityMatrix, entries=_freeze(here))

@@ -103,11 +103,25 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     Returns the symmetrized stack.  When some matrix breaks an invariant,
     raises the error :class:`DensityMatrix` raises for the first such
     matrix.  Non-finite entries fail the Hermiticity check.
+
+    Positivity is certified by one stacked Cholesky factorization of
+    h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
+    TOL_PD up to its backward error, about n eps ||h|| (1.4e-14 at n = 64).
+    ``eigvalsh`` runs only when some check fails: it locates the first failing
+    matrix, reports its smallest eigenvalue, and accepts a stack that
+    Cholesky rejected within that roundoff band.
     """
     with np.errstate(invalid="ignore"):
         herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         h = hermitian_part(a)
     trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
+    fine = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE)
+    if fine.all():
+        try:
+            np.linalg.cholesky(h - TOL_PD * np.eye(h.shape[-1]))
+            return h
+        except np.linalg.LinAlgError:
+            pass
     try:
         smallest = np.linalg.eigvalsh(h)[..., 0]
     except np.linalg.LinAlgError:
@@ -115,7 +129,7 @@ def _check_states(a: np.ndarray) -> np.ndarray:
         smallest = np.full(herm_dev.shape, np.nan)
         hermitian = herm_dev <= TOL_HERM
         smallest[hermitian] = np.linalg.eigvalsh(h[hermitian])[..., 0]
-    ok = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE) & (smallest > TOL_PD)
+    ok = fine & (smallest > TOL_PD)
     if ok.all():
         return h
     i = np.unravel_index(np.argmin(ok), ok.shape)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qssgeo as q
 from qssgeo.qss import frobenius, hermitian_deviation
@@ -158,6 +160,34 @@ def test_autoparallel_invalid_step():
         q.autoparallel_residual(spec, 1.0, 0.0)
     with pytest.raises(q.InvalidStepError):
         q.autoparallel_residual(spec, 0.5, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t, dt_fd", [(1.0, np.nan), (np.nan, 1e-3), (np.inf, 1e-3)])
+def test_autoparallel_non_finite_step(t, dt_fd):
+    spec = q.random_geodesic_spec(2, 3)
+    with pytest.raises(q.InvalidStepError):
+        q.autoparallel_residual(spec, t, dt_fd)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    sld_scale=st.floats(0.1, 3.0),
+    t=st.floats(0.1, 3.0),
+)
+def test_autoparallel_residual_second_order(n, seed, sld_scale, t):
+    # the k-th derivative of the curve scales with |L|^k, so a step of
+    # 0.02 / |L| keeps the O(h^4) term of the central difference a fixed,
+    # small fraction of its O(h^2) term; its roundoff, about n eps / h,
+    # stays far below the residual, and halving the step divides it by 4
+    spec = q.random_geodesic_spec(n, seed, sld_scale=sld_scale)
+    h = min(0.02 / sld_scale, t / 4)
+    coarse = q.autoparallel_residual(spec, t, h)
+    fine = q.autoparallel_residual(spec, t, h / 2)
+    assert fine > 1e3 * n * np.finfo(float).eps / h
+    assert 3.5 <= coarse / fine <= 4.5
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])

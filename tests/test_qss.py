@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qssgeo as q
-from qssgeo.qss import frobenius, hermitian_deviation
+from qssgeo.qss import _check_states, frobenius, hermitian_deviation, hermitian_part
 
 
 def test_make_density_maximally_mixed():
@@ -50,6 +52,91 @@ def test_make_density_symmetrizes_roundoff():
     a[0, 1] = 1e-12
     rho = q.make_density(a)
     assert hermitian_deviation(rho.entries) == 0.0
+
+
+def _state_with_smallest(n, smallest, rng):
+    """U diag(smallest, rest) U^H: a random unitary U and a unit-trace spectrum."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    spectrum = np.concatenate([[smallest], rest * (1 - smallest) / rest.sum()])
+    return (u * spectrum) @ u.conj().T
+
+
+# Smallest eigenvalues of either sign, off the band within a factor 2 of TOL_PD.
+_SMALLEST = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([1.0, -1.0]), st.floats(-16, -2)
+).filter(lambda lam: not q.TOL_PD / 2 <= lam <= 2 * q.TOL_PD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    smallest=st.lists(_SMALLEST, min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_states_certifies_like_eigvalsh(n, smallest, seed):
+    # Cholesky of h - TOL_PD I decides as eigvalsh does outside the band,
+    # since its backward error (about n eps |h|) is far below TOL_PD / 2.
+    rng = np.random.default_rng(seed)
+    a = np.stack([_state_with_smallest(n, lam, rng) for lam in smallest])
+    h = hermitian_part(a)
+    lowest = np.linalg.eigvalsh(h)[:, 0]
+    positive = (lowest > q.TOL_PD).all()
+    try:
+        np.linalg.cholesky(h - q.TOL_PD * np.eye(n))
+        certified = True
+    except np.linalg.LinAlgError:
+        certified = False
+    assert certified == positive
+    if positive:
+        np.testing.assert_array_equal(_check_states(a), h)
+    else:
+        with pytest.raises(q.NotPositiveDefiniteError) as exc:
+            _check_states(a)
+        assert exc.value.min_eigenvalue == lowest[np.argmax(lowest <= q.TOL_PD)]
+
+
+_MATRICES = {
+    "valid": q.random_density(3, 1).entries,
+    "valid2": q.random_density(3, 2).entries,
+    "non_hermitian": q.random_density(3, 1).entries + np.triu(np.full((3, 3), 1e-3), 1),
+    "wrong_trace": 1.1 * q.random_density(3, 2).entries,
+    "non_pd": np.diag([1.2, 0.1, -0.3]),
+    "near_boundary": np.diag([0.6, 0.4 - 1e-13, 1e-13]),
+    "nan": np.full((3, 3), np.nan),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("valid", "valid2", "non_pd"),
+        ("valid", "valid2", "valid", "near_boundary"),
+        ("valid", "non_pd", "non_hermitian"),
+        ("non_hermitian", "non_pd"),
+        ("valid", "wrong_trace", "nan"),
+        ("nan", "valid", "non_pd"),
+        ("non_pd", "nan", "wrong_trace", "valid"),
+        ("near_boundary", "non_pd", "valid", "valid2"),
+    ],
+    ids="-".join,
+)
+def test_check_states_stack_fails_as_first_matrix(names):
+    # a stack raises what checking its matrices one at a time in order raises
+    matrices = [_MATRICES[name] for name in names]
+    for m in matrices:
+        try:
+            _check_states(m)
+        except q.QssError as exc:
+            expected = exc
+            break
+    a = np.stack(matrices)
+    for stack in (a, a.reshape(2, -1, 3, 3)) if len(a) % 2 == 0 else (a,):
+        with pytest.raises(q.QssError) as exc:
+            _check_states(stack)
+        assert type(exc.value) is type(expected)
+        assert repr(vars(exc.value)) == repr(vars(expected))
 
 
 def test_random_density_deterministic():
