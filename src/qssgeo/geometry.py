@@ -49,7 +49,9 @@ _BLOCK_BYTES = 1 << 18
 class GeodesicSpec:
     """Initial data of a geodesic: start point and initial tangent.
 
-    Construction computes the tangent's SLD at the start, ``cached_sld``.
+    ``cached_sld`` is the tangent's own SLD at the start, the object
+    ``sld(start, initial_tangent)`` returns; construction computes it unless
+    the tangent already has.
     """
 
     start: DensityMatrix
@@ -80,17 +82,18 @@ def e_transport(rho1: DensityMatrix, rho2: DensityMatrix, x: TangentVector) -> T
     """Transport ``x`` from rho1 to rho2.
 
     The result is Hermitian and traceless by construction; its SLD at rho2
-    equals sld(rho1, x) shifted by -Tr(rho2 sld(rho1, x)) I.  For an ``x``
-    attached elsewhere, sld raises BaseMismatchError.
+    equals sld(rho1, x) shifted by -Tr(rho2 sld(rho1, x)) I.  The tangent's
+    cached SLD is reused, and the one product M = rho2 L gives both
+    L rho2 = M^H and the trace, so the matrix is exactly Hermitian.  For an
+    ``x`` attached elsewhere, sld raises BaseMismatchError.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(
             f"source dimension {rho1.dim} != target dimension {rho2.dim}"
         )
-    l = sld(rho1, x).entries
     r2 = rho2.entries
-    out = 0.5 * (r2 @ l + l @ r2) - float(np.trace(r2 @ l).real) * r2
-    return TangentVector(out, rho2)
+    m = r2 @ sld(rho1, x).entries
+    return TangentVector(hermitian_part(m) - float(np.trace(m).real) * r2, rho2)
 
 
 def is_e_parallel(x1: TangentVector, x2: TangentVector, tol: float) -> bool:

@@ -17,8 +17,9 @@ Dense eigendecompositions keep this practical up to dimension ~64.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use from concurrent contexts.  A
-DensityMatrix computes its eigendecomposition on first use and keeps it;
-two threads that race there compute the same value twice, harmlessly.
+DensityMatrix computes its eigendecomposition on first use and keeps it, and
+a TangentVector keeps its SLD the same way; two threads that race there
+compute the same value twice, harmlessly.
 """
 
 from __future__ import annotations
@@ -77,10 +78,28 @@ def _as_square_complex(entries) -> np.ndarray:
     return a
 
 
+def _negligible(deviation: float, tol: float, a: np.ndarray) -> bool:
+    """Whether ``deviation``, found in checking ``a``, is at most tol * max(1, max |a_jk|).
+
+    Roundoff grows with the data, so the bound does too, and never drops
+    below ``tol``; the largest entry, unlike a norm, cannot overflow, and is
+    looked at only for a deviation above ``tol``.  A NaN deviation fails, and
+    so does any deviation above ``tol`` in non-finite data.
+    """
+    return deviation <= tol or deviation <= tol * max(1.0, float(np.abs(a).max())) < np.inf
+
+
+def _check_traceless(x: np.ndarray, data: np.ndarray) -> None:
+    """Raise NotTracelessError unless Tr x is negligible at the scale of ``data``, which ``x`` came from."""
+    trace_dev = abs(float(np.trace(x).real))
+    if not _negligible(trace_dev, TOL_TRACE, data):
+        raise NotTracelessError(trace_dev)
+
+
 def _hermitian(a: np.ndarray) -> np.ndarray:
-    """The symmetrized ``a``; more than TOL_HERM from Hermitian raises NotHermitianError."""
+    """The symmetrized ``a``; farther from Hermitian than _negligible allows raises NotHermitianError."""
     dev = hermitian_deviation(a)
-    if not dev <= TOL_HERM:  # NaN fails too
+    if not _negligible(dev, TOL_HERM, a):
         raise NotHermitianError(dev)
     return hermitian_part(a)
 
@@ -187,8 +206,9 @@ class DensityMatrix:
 class _AttachedMatrix:
     """A Hermitian matrix attached to the state ``base``, of the same dimension.
 
-    Inputs within TOL_HERM of Hermitian are symmetrized; each subclass adds
-    its one linear constraint in ``_check``.
+    Inputs within TOL_HERM * max(1, largest entry) of Hermitian are
+    symmetrized; each subclass adds its one linear constraint in ``_check``,
+    judged at the same scale.
     """
 
     entries: np.ndarray
@@ -214,9 +234,16 @@ class TangentVector(_AttachedMatrix):
     """A tangent vector at ``base``: Hermitian and traceless."""
 
     def _check(self, a: np.ndarray) -> None:
-        trace_dev = abs(float(np.trace(a).real))
-        if trace_dev > TOL_TRACE:
-            raise NotTracelessError(trace_dev)
+        _check_traceless(a, a)
+
+    @cached_property
+    def _sld(self) -> SldMatrix:
+        """The SLD of this tangent at ``base``, computed on first use; see :func:`sld`."""
+        v, v_h, sums = self.base._frame
+        lt = 2.0 * (v_h @ self.entries @ v) / sums
+        # Small eigenvalues amplify roundoff in the product; the exact result is
+        # Hermitian, so symmetrize it here rather than fail SldMatrix's check.
+        return SldMatrix(hermitian_part(v @ lt @ v_h), self.base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +255,10 @@ class SldMatrix(_AttachedMatrix):
     """
 
     def _check(self, a: np.ndarray) -> None:
-        # Tr(rho X + X rho) = 2 Tr(rho X) for Hermitian arguments.
-        pairing = 2.0 * float(np.trace(self.base.entries @ a).real)
-        if abs(pairing) > TOL_TRACE:
-            raise NotInSldSpaceError(abs(pairing))
+        # Tr(rho X + X rho) = 2 Tr(rho X) = 2 vdot(rho, X) for Hermitian arguments.
+        pairing = abs(2.0 * float(np.vdot(self.base.entries, a).real))
+        if not _negligible(pairing, TOL_TRACE, a):
+            raise NotInSldSpaceError(pairing)
 
 
 def make_density(entries) -> DensityMatrix:
@@ -276,7 +303,7 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     a : array_like
-        Square matrix, Hermitian within TOL_HERM.
+        Square matrix, Hermitian within TOL_HERM * max(1, largest entry).
 
     Returns
     -------
@@ -307,15 +334,13 @@ def sld(rho: DensityMatrix, x: TangentVector) -> SldMatrix:
     Returns the unique Hermitian L with X = (rho L + L rho) / 2, computed in
     the eigenbasis of rho where it is the elementwise rescaling by
     2 / (theta_j + theta_k).  Degenerate eigenvalues need no special casing:
-    the rescaling depends only on the spectral projectors.
+    the rescaling depends only on the spectral projectors.  ``x`` computes
+    its SLD once, on first use, and every later call returns that same
+    object, attached to ``x.base``.
     """
     if x.base != rho:
         raise BaseMismatchError("tangent vector is not attached to the given state")
-    v, v_h, sums = rho._frame
-    lt = 2.0 * (v_h @ x.entries @ v) / sums
-    # Small eigenvalues amplify roundoff in the product; the exact result is
-    # Hermitian, so symmetrize it here rather than fail SldMatrix's check.
-    return SldMatrix(hermitian_part(v @ lt @ v_h), rho)
+    return x._sld
 
 
 def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:
@@ -327,7 +352,13 @@ def sld_inverse(rho: DensityMatrix, xi: SldMatrix) -> TangentVector:
     if xi.base != rho:
         raise BaseMismatchError("SLD matrix is not attached to the given state")
     v, v_h, sums = rho._frame
-    return TangentVector(v @ (0.5 * sums * (v_h @ xi.entries @ v)) @ v_h, rho)
+    # The exact X is Hermitian and Tr X = Tr(rho Xi), which Xi's own check
+    # bounds at Xi's scale.  X can be smaller than Xi by a factor lambda_min
+    # while its roundoff is not, so X is symmetrized and its trace is checked
+    # at Xi's scale.
+    x = hermitian_part(v @ (0.5 * sums * (v_h @ xi.entries @ v)) @ v_h)
+    _check_traceless(x, xi.entries)
+    return _unchecked(TangentVector, entries=_freeze(x), base=rho)
 
 
 def fisher_metric(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> float:
@@ -337,15 +368,14 @@ def fisher_metric(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> flo
     """
     if x.base != rho or y.base != rho:
         raise BaseMismatchError("tangent vectors are not attached to the given state")
-    l_y = sld(rho, y)
-    return float(np.trace(x.entries.conj().T @ l_y.entries).real)
+    return float(np.vdot(x.entries, sld(rho, y).entries).real)
 
 
 def fisher_metric_from_slds(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> float:
     """Same metric through the symmetrized SLD product Tr(rho {L_X, L_Y}) / 2."""
     lx = sld(rho, x).entries
     ly = sld(rho, y).entries
-    return float(0.5 * np.trace(rho.entries @ (lx @ ly + ly @ lx)).real)
+    return float(0.5 * np.vdot(rho.entries, lx @ ly + ly @ lx).real)
 
 
 def fisher_metric_eigenbasis(rho: DensityMatrix, x: TangentVector, y: TangentVector) -> float:

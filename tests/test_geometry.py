@@ -257,3 +257,57 @@ def test_transport_composition_reported():
             gaps.append(gap * lam_min / max(1.0, frobenius(direct.entries)))
     print(f"\ntransport composition gap x lambda_min / max(1, |tau|): max {max(gaps):.3e}")
     assert max(gaps) <= 100 * np.finfo(float).eps
+
+
+def test_geodesic_spec_shares_the_tangents_sld():
+    rho = q.random_density(3, 5)
+    x = q.random_tangent(rho, 6)
+    assert q.GeodesicSpec(rho, x).cached_sld is q.sld(rho, x)
+
+
+def test_kernel_set_builds_one_sld_per_tangent(monkeypatch):
+    built = []
+    post_init = q.SldMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(q.SldMatrix, "__post_init__", counting)
+    # the calls of one benchmark kernel set, on two tangents at one state
+    rho = q.random_density(3, 1)
+    x, y = q.random_tangent(rho, 2), q.random_tangent(rho, 3)
+    q.sld_inverse(rho, q.sld(rho, x))
+    q.fisher_metric(rho, x, y)
+    q.fisher_metric_from_slds(rho, x, y)
+    q.fisher_metric_eigenbasis(rho, x, y)
+    tau = q.e_transport(rho, q.random_density(3, 4), x)
+    assert q.is_e_parallel(x, tau, 1e-9)
+    spec = q.GeodesicSpec(rho, x)
+    q.e_geodesic(spec, 1.0)
+    q.autoparallel_residual(spec, 0.5, 1e-3)
+    assert len(built) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_transport_matrix_is_exactly_hermitian(n, seed):
+    # with M = rho2 L, the matrix is (M + M^H) / 2 - Tr(M) rho2: Hermitian
+    # before TangentVector symmetrizes it, and within roundoff of the form
+    # (rho2 L + L rho2) / 2 - Tr(rho2 L) rho2 with its three products
+    rho1, rho2 = q.random_density(n, seed), q.random_density(n, seed + 1)
+    x = q.random_tangent(rho1, seed + 2)
+    made = []
+
+    def recording(entries, base):
+        made.append(entries)
+        return q.TangentVector(entries, base)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qssgeo.geometry.TangentVector", recording)
+        q.e_transport(rho1, rho2, x)
+    (out,) = made
+    np.testing.assert_array_equal(out, out.conj().T)
+    r2, l = rho2.entries, q.sld(rho1, x).entries
+    old = 0.5 * (r2 @ l + l @ r2) - np.trace(r2 @ l).real * r2
+    assert frobenius(out - old) <= 4 * n * np.finfo(float).eps * frobenius(r2) * frobenius(l)

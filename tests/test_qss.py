@@ -389,3 +389,75 @@ def test_attached_matrices_share_shape_and_base_checks():
             m.extra = 1
     with pytest.raises(q.InvalidValueError):
         q.eig_hermitian(np.zeros(3))
+
+
+def test_sld_is_computed_once_per_tangent():
+    rho = q.random_density(4, 3)
+    x = q.random_tangent(rho, 4)
+    l = q.sld(rho, x)
+    assert q.sld(rho, x) is l
+    # the formula the cached SLD replaced, bit for bit
+    v, v_h, sums = rho._frame
+    expected = hermitian_part(v @ (2.0 * (v_h @ x.entries @ v) / sums) @ v_h)
+    np.testing.assert_array_equal(l.entries, expected)
+    # an equal state that is another object gets the same SLD, attached to x.base
+    twin = q.DensityMatrix(rho.entries.copy())
+    assert q.sld(twin, x) is l and l.base is rho
+    back = q.sld_inverse(twin, q.sld(twin, x))
+    assert frobenius(back.entries - x.entries) <= q.TOL_SLD
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    log_scale=st.floats(-8, 10),
+    log_smallest=st.floats(np.log10(10 * q.TOL_PD), -1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attached_checks_scale_with_the_data(n, log_scale, log_smallest, seed):
+    # roundoff in a tangent's trace and in an SLD's pairing grows with the
+    # matrix, and an SLD is larger than its tangent by up to 1 / lambda_min;
+    # checks against a fixed 1e-10 rejected tangents of norm 1e7 and SLDs of
+    # tangents of norm 1e5, or of norm 1e-3 at lambda_min = 1e-11
+    rng = np.random.default_rng(seed)
+    rho = q.DensityMatrix(_state_with_smallest(n, 10.0**log_smallest, rng))
+    x = q.random_tangent(rho, seed, scale=10.0**log_scale)
+    l = q.sld(rho, x)
+    back = q.sld_inverse(rho, l)
+    q.e_transport(rho, q.random_density(n, seed), x)
+    smallest = np.linalg.eigvalsh(rho.entries)[0]
+    eps = np.finfo(float).eps
+    assert frobenius(back.entries - x.entries) <= 4 * n * eps * frobenius(x.entries) / smallest
+
+
+@pytest.mark.filterwarnings("error")
+def test_attached_checks_keep_absolute_floor_and_reject_non_finite():
+    rho = q.random_density(2, 1)
+    # the largest entry sets the scale: no norm to overflow
+    assert q.TangentVector(np.diag([1e200, -1e200]), rho).dim == 2
+    # an infinite deviation fails even against an infinite scale
+    with pytest.raises(q.NotHermitianError):
+        q.TangentVector(np.array([[0.0, np.inf], [0.0, 0.0]]), rho)
+    # below scale 1 the bound stays TOL_TRACE
+    with pytest.raises(q.NotTracelessError):
+        q.TangentVector(np.diag([1e-3, -1e-3 + 1e-9]), rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_trace_forms_match_products(n, seed):
+    # vdot(A, B) = Tr(A^H B) = Tr(A B) for Hermitian A, without forming A B;
+    # the two sums differ only in roundoff, at most k eps |A|_F |B|_F
+    rho = q.random_density(n, seed)
+    x = q.random_tangent(rho, seed + 1)
+    y = q.random_tangent(rho, seed + 2)
+    r, lx, ly = rho.entries, q.sld(rho, x).entries, q.sld(rho, y).entries
+    anti = lx @ ly + ly @ lx
+    bound = 4 * n * np.finfo(float).eps
+    forms = [
+        (np.vdot(r, lx).real, np.trace(r @ lx).real, r, lx),
+        (q.fisher_metric(rho, x, y), np.trace(x.entries.conj().T @ ly).real, x.entries, ly),
+        (q.fisher_metric_from_slds(rho, x, y), 0.5 * np.trace(r @ anti).real, r, 0.5 * anti),
+    ]
+    for new, old, a, b in forms:
+        assert abs(new - old) <= bound * frobenius(a) * frobenius(b)
