@@ -10,7 +10,6 @@ failure, 2 usage error (including unreadable input files), 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -184,12 +183,12 @@ def parse_args(argv) -> RunConfig:
     return config
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _cmd_geodesic(config: RunConfig) -> int:
@@ -205,7 +204,7 @@ def _cmd_geodesic(config: RunConfig) -> int:
     _, times = _step_schedule(config.t_end, config.dt)
     states = _StateStack(_geodesic_curves([spec], times)[0])
     traj = Trajectory(times, states, TrajectoryMeta("exact", config.dt, coupling_meta))
-    _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
+    _write_text(config.output_path, io.trajectory_chunks(traj, config.format))
     return 0
 
 
@@ -213,7 +212,7 @@ def _cmd_eahle(config: RunConfig) -> int:
     rho0 = make_density(io.load_matrix(config.input_path))
     coupling = CouplingSpectrum(config.coupling)
     traj = eahle_integrate(rho0, coupling, config.t_end, config.dt)
-    _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
+    _write_text(config.output_path, io.trajectory_chunks(traj, config.format))
     return 0
 
 
@@ -221,7 +220,7 @@ def _cmd_ahle(config: RunConfig) -> int:
     w0 = SphereVector(config.w0)
     coupling = CouplingSpectrum(config.coupling)
     traj = ahle_integrate(w0, coupling, config.t_end, config.dt)
-    _write_text(config.output_path, io.trajectory_to_text(traj, config.format))
+    _write_text(config.output_path, io.trajectory_chunks(traj, config.format))
     return 0
 
 
@@ -229,7 +228,7 @@ def _cmd_closed_form(config: RunConfig) -> int:
     w0 = SphereVector(config.w0)
     coupling = CouplingSpectrum(config.coupling)
     w = ahle_closed_form(w0, coupling, config.t)
-    _write_text(config.output_path, ",".join("%.17g" % x for x in w.values) + "\n")
+    _write_text(config.output_path, [",".join("%.17g" % x for x in w.values) + "\n"])
     return 0
 
 
@@ -238,7 +237,7 @@ def _cmd_verify(config: RunConfig) -> int:
         config.n_values, config.cases, config.seed,
         t_end=config.t_end, dt=config.dt, tol=config.tol,
     )
-    _write_text(config.output_path, io.reports_to_json(reports))
+    _write_text(config.output_path, [io.reports_to_json(reports)])
     print(suite_summary(reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -248,7 +247,7 @@ def _cmd_probe(config: RunConfig) -> int:
     result = conjecture_probe(spec)
     payload = io.probe_result_to_dict(result)
     payload["seed"] = config.seed
-    _write_text(config.output_path, json.dumps(payload, indent=2) + "\n")
+    _write_text(config.output_path, [io.to_json(payload) + "\n"])
     print(f"probe best residual = {result.residual:.6e}")
     return 0
 

@@ -28,6 +28,7 @@ from .qss import (
     SldMatrix,
     TangentVector,
     _check_states,
+    _check_traceless,
     _exp_weights,
     _freeze,
     _unchecked,
@@ -84,8 +85,9 @@ def e_transport(rho1: DensityMatrix, rho2: DensityMatrix, x: TangentVector) -> T
     The result is Hermitian and traceless by construction; its SLD at rho2
     equals sld(rho1, x) shifted by -Tr(rho2 sld(rho1, x)) I.  The tangent's
     cached SLD is reused, and the one product M = rho2 L gives both
-    L rho2 = M^H and the trace, so the matrix is exactly Hermitian.  For an
-    ``x`` attached elsewhere, sld raises BaseMismatchError.
+    L rho2 = M^H and the trace, so the matrix is exactly Hermitian; its trace,
+    a difference of terms of M's size, is judged at M's scale.  For an ``x``
+    attached elsewhere, sld raises BaseMismatchError.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(
@@ -93,7 +95,9 @@ def e_transport(rho1: DensityMatrix, rho2: DensityMatrix, x: TangentVector) -> T
         )
     r2 = rho2.entries
     m = r2 @ sld(rho1, x).entries
-    return TangentVector(hermitian_part(m) - float(np.trace(m).real) * r2, rho2)
+    moved = hermitian_part(m) - float(np.trace(m).real) * r2
+    _check_traceless(moved, m)
+    return _unchecked(TangentVector, entries=_freeze(moved), base=rho2)
 
 
 def is_e_parallel(x1: TangentVector, x2: TangentVector, tol: float) -> bool:

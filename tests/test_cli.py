@@ -469,3 +469,26 @@ def test_unread_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     _write_inputs(tmp_path)
     assert main(argv) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_out_dash_writes_the_bytes_of_out_file(tmp_path, capsys):
+    # stdout with --out - is the file --out FILE writes, then what FILE's run prints
+    rho_path = tmp_path / "rho.json"
+    io.save_matrix(str(rho_path), qssgeo.random_density(3, 2).entries)
+    flow = ["--rho0", str(rho_path), "--c=0.5,-0.25,1", "--t-end", "0.05"]
+    commands = [
+        ["geodesic", *flow], ["geodesic", *flow, "--format", "json"],
+        ["eahle", *flow], ["eahle", *flow, "--format", "json"],
+        ["ahle", "--w0", "0.6,0.8", "--c", "1,0", "--t-end", "0.05", "--format", "json"],
+        ["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "0.5"],
+        ["verify", "--n", "2,3", "--cases", "1", "--t-end", "0.05"],
+        ["probe", "--n", "3"],
+    ]
+    for argv in commands:
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        streamed = capsys.readouterr()
+        assert streamed.out == out.read_text() + printed.out, argv
+        assert streamed.err == printed.err == ""

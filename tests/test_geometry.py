@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qssgeo as q
-from qssgeo.qss import frobenius, hermitian_deviation
+from qssgeo.qss import _unchecked, frobenius, hermitian_deviation
 
 
 def test_transport_identity():
@@ -293,21 +293,55 @@ def test_kernel_set_builds_one_sld_per_tangent(monkeypatch):
 @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
 def test_transport_matrix_is_exactly_hermitian(n, seed):
     # with M = rho2 L, the matrix is (M + M^H) / 2 - Tr(M) rho2: Hermitian
-    # before TangentVector symmetrizes it, and within roundoff of the form
-    # (rho2 L + L rho2) / 2 - Tr(rho2 L) rho2 with its three products
+    # as built, with no symmetrizing step after it, and within roundoff of
+    # the form (rho2 L + L rho2) / 2 - Tr(rho2 L) rho2 with its three products
     rho1, rho2 = q.random_density(n, seed), q.random_density(n, seed + 1)
     x = q.random_tangent(rho1, seed + 2)
     made = []
 
-    def recording(entries, base):
-        made.append(entries)
-        return q.TangentVector(entries, base)
+    def recording(cls, **fields):
+        made.append(fields["entries"].copy())
+        return _unchecked(cls, **fields)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("qssgeo.geometry.TangentVector", recording)
-        q.e_transport(rho1, rho2, x)
+        mp.setattr("qssgeo.geometry._unchecked", recording)
+        moved = q.e_transport(rho1, rho2, x)
     (out,) = made
+    np.testing.assert_array_equal(moved.entries, out)
     np.testing.assert_array_equal(out, out.conj().T)
     r2, l = rho2.entries, q.sld(rho1, x).entries
     old = 0.5 * (r2 @ l + l @ r2) - np.trace(r2 @ l).real * r2
     assert frobenius(out - old) <= 4 * n * np.finfo(float).eps * frobenius(r2) * frobenius(l)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    log_scale=st.floats(-8, 10),
+    log_smallest=st.floats(-11, -1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transport_round_trip_at_small_eigenvalues(n, log_scale, log_smallest, seed):
+    # rho -> rho2 -> rho gives X back in exact arithmetic.  Each of its four
+    # stages (SLD at rho, transport, SLD at rho2, transport back) is backward
+    # stable, with error about n eps times the size of what it computes.  The
+    # SLD at rho has norm at most |X| / lam, with lam the smallest eigenvalue
+    # of rho; the transports multiply by states of 2-norm at most 1; the SLD
+    # at rho2 scales an error in its input by at most 1 / mu, with mu the
+    # smallest eigenvalue of rho2.  So each stage adds at most
+    # n eps |X| / (lam mu) to the gap, and the four at most 4 times that.
+    # The transport's trace is a difference of terms of size |rho2 L|; judged
+    # at the result's own scale, a quarter of these draws raised
+    # NotTracelessError on the way back.
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    smallest = 10.0**log_smallest
+    spectrum = np.concatenate([[smallest], rest * (1 - smallest) / rest.sum()])
+    rho = q.DensityMatrix((u * spectrum) @ u.conj().T)
+    rho2 = q.random_density(n, seed)
+    x = q.random_tangent(rho, seed, scale=10.0**log_scale)
+    back = q.e_transport(rho2, rho, q.e_transport(rho, rho2, x))
+    lam, mu = np.linalg.eigvalsh(rho.entries)[0], np.linalg.eigvalsh(rho2.entries)[0]
+    bound = 4 * n * np.finfo(float).eps * frobenius(x.entries) / (lam * mu)
+    assert frobenius(back.entries - x.entries) <= bound

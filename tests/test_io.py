@@ -1,12 +1,18 @@
 """Tests for the matrix JSON format and trajectory exports."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qssgeo as q
-from qssgeo import io
+from qssgeo import cli, io
+from qssgeo.dynamics import _StateStack, _step_schedule
+from qssgeo.geometry import _geodesic_curves
 
 
 def test_matrix_round_trip(tmp_path):
@@ -194,3 +200,122 @@ def test_trajectory_writers_bytes_unchanged():
     assert io.trajectory_to_text(sphere, "csv") == SPHERE_CSV
     assert io.trajectory_to_text(density, "json") == DENSITY_JSON
     assert io.trajectory_to_text(sphere, "json") == SPHERE_JSON
+
+
+def reference_csv(traj):
+    """The whole-string CSV writer: one "%.17g" row format per state, lines joined."""
+    a = traj.array
+    n = a.shape[1]
+    if a.ndim == 3:
+        header = ["t"]
+        for i in range(n):
+            for j in range(n):
+                header += [f"re_{i}{j}", f"im_{i}{j}"]
+        values = np.stack([a.real, a.imag], axis=-1)
+    else:
+        header = ["t"] + [f"w_{j + 1}" for j in range(n)]
+        values = a
+    rows = np.column_stack([traj.times, values.reshape(len(a), -1)])
+    row_format = ",".join(["%.17g"] * rows.shape[1])
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def assert_writers_match_references(traj):
+    text = io.trajectory_to_text(traj, "json")
+    assert text == json.dumps(io.trajectory_to_json_dict(traj), indent=2) + "\n"
+    assert json.loads(text) == io.trajectory_to_json_dict(traj)
+    assert io.trajectory_to_text(traj, "csv") == io.trajectory_to_csv(traj) == reference_csv(traj)
+    # a chunk per state for JSON (plus head and tail), per block of rows for CSV
+    assert len(list(io.trajectory_chunks(traj, "json"))) == len(traj) + 2
+    assert len(list(io.trajectory_chunks(traj, "csv"))) == 1 + math.ceil(len(traj) / io._CSV_ROWS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    density=st.booleans(),
+    n=st.integers(2, 5),
+    count=st.integers(1, io._CSV_ROWS + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_writers_match_whole_string_writers(density, n, count, seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(10.0 ** rng.uniform(-6, 2, count)) - 1.0
+    if density:
+        states = [q.random_density(n, seed + k) for k in range(count)]
+    else:
+        states = [q.SphereVector(w / np.linalg.norm(w)) for w in rng.standard_normal((count, n))]
+    meta = q.TrajectoryMeta("rk4", float(rng.uniform(1e-4, 1)), tuple(rng.uniform(-1, 1, n).tolist()))
+    assert_writers_match_references(q.Trajectory(times, states, meta))
+
+
+# -0.0, subnormals, the extremes and integer-valued floats; repr and %.17g
+# spell each of these differently from the common case
+SPECIAL = [-1e308, -2.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 3.0, 2.0**53, 1e16,
+           1e22, 1e308]
+
+
+def test_writers_spell_special_values_like_json_dumps():
+    times = np.array(SPECIAL)
+    meta = q.TrajectoryMeta("exact", 1e-308, (-0.0, 5e-324, 1.0, -1e308))
+    sphere = [q.SphereVector(np.array(w)) for w in ([-0.0, 1.0], [1.0, -0.0], [5e-324, 1.0])]
+    sphere += [q.SphereVector(np.array([0.6, -0.8]))] * (len(SPECIAL) - 3)
+    assert_writers_match_references(q.Trajectory(times, sphere, meta))
+    states = [q.make_density(np.diag([0.5, 0.5]) + 1e-310 * np.array([[0, 1], [1, 0]]))]
+    states += [q.make_density(np.diag([0.75, 0.25]))] * (len(SPECIAL) - 1)
+    assert_writers_match_references(q.Trajectory(times, states, meta))
+    payload = {"values": SPECIAL + [0.0, math.nan, math.inf, -math.inf], "empty": [], "none": {},
+               "nested": [[], [1, 2.5, None, True, "\u00e9"], {"k": [-0.0]}], "tuple": (1.5, -0.0)}
+    assert io.to_json(payload) == json.dumps(payload, indent=2)
+    assert io.to_json([]) == "[]" and io.to_json({}) == "{}"
+
+
+def report(case_id, grid, devs):
+    return q.VerificationReport(case_id, 2, 7, grid, np.asarray(devs, dtype=float), 1e-6)
+
+
+def test_reports_json_matches_json_dumps():
+    grid = np.array([0.0, 0.5, 1.0])
+    shared = [report("a", grid, [0.0, 1e-9, 2e-9]), report("b", grid, [0.0, 3e-9, 1e-7])]
+    assert shared[0].time_grid is shared[1].time_grid
+    distinct = [report("c", grid.copy(), [0.0, 1e-9, 2e-9]), report("d", np.array([0.0, 2.0]), [0.0, 1.0])]
+    non_finite = [report("nan", grid, [0.0, np.nan, 1.0]), report("inf", grid, [np.inf, -np.inf, 0.0])]
+    assert not non_finite[0].passed and math.isnan(non_finite[0].max_deviation)
+    for reports in ([], shared, distinct, non_finite, shared + distinct + non_finite,
+                    q.run_suite([2, 3], 1, seed=3)):
+        expected = json.dumps([io.report_to_dict(r) for r in reports], indent=2) + "\n"
+        assert io.reports_to_json(reports) == expected
+    assert io.reports_to_json([]) == "[]\n"
+
+
+def test_matrix_and_probe_files_match_json_dumps(tmp_path, capsys):
+    a = q.random_density(3, 5).entries
+    path = tmp_path / "rho.json"
+    io.save_matrix(str(path), a)
+    assert path.read_text() == json.dumps(io.matrix_to_json_dict(a), indent=2) + "\n"
+    for n in (2, 8):
+        out = tmp_path / f"probe{n}.json"
+        assert cli.main(["probe", "--n", str(n), "--seed", "3", "--out", str(out)]) == 0
+        payload = io.probe_result_to_dict(q.conjecture_probe(q.random_geodesic_spec(n, 3)))
+        assert out.read_text() == json.dumps(payload | {"seed": 3}, indent=2) + "\n"
+    capsys.readouterr()
+
+
+def test_trajectory_file_is_written_in_bounded_memory(tmp_path):
+    # n = 16, T = 1001: the geodesic command's trajectory.  Its JSON is 17 MB
+    # and its CSV 11 MB; the whole-string writers held several times that.
+    rho = q.random_density(16, 1)
+    coupling = q.CouplingSpectrum(np.linspace(-1, 1, 16))
+    spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, coupling))
+    _, times = _step_schedule(1.0, 1e-3)
+    traj = q.Trajectory(times, _StateStack(_geodesic_curves([spec], times)[0]),
+                        q.TrajectoryMeta("exact", 1e-3, tuple(coupling.values.tolist())))
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"traj.{fmt}"
+        tracemalloc.start()
+        try:
+            cli._write_text(str(path), io.trajectory_chunks(traj, fmt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4, (fmt, peak, path.stat().st_size)
