@@ -228,7 +228,7 @@ def _cmd_closed_form(config: RunConfig) -> int:
     w0 = SphereVector(config.w0)
     coupling = CouplingSpectrum(config.coupling)
     w = ahle_closed_form(w0, coupling, config.t)
-    _write_text(config.output_path, [",".join("%.17g" % x for x in w.values) + "\n"])
+    _write_text(config.output_path, [io.vector_to_csv(w.values)])
     return 0
 
 

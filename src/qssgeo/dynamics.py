@@ -41,12 +41,14 @@ from .errors import (
     ZeroComponentError,
 )
 from .qss import (
+    _BLOCK_BYTES,
     TOL_TRACE,
     DensityMatrix,
     TangentVector,
-    _check_states,
+    _certify_states,
     _exp_weights,
     _freeze,
+    _symmetrize_states,
     _unchecked,
 )
 
@@ -203,17 +205,16 @@ class Trajectory:
         return len(self.states)
 
 
-def _eahle_rhs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # rho C + C rho - 2 Tr(C rho) rho, with C = diag(c); for one state or a
-    # (B, n, n) stack with (B, n) couplings.
-    tr_c_rho = np.einsum("...j,...jj->...", c, a).real
-    return a * (c[..., :, None] + c[..., None, :] - 2.0 * tr_c_rho[..., None, None])
+def _eahle_rhs(c: np.ndarray):
+    # rho -> rho C + C rho - 2 Tr(C rho) rho with C = diag(c), for one state or a
+    # (B, n, n) stack with (B, n) couplings; the sums c_j + c_k are formed once.
+    sums = c[..., :, None] + c[..., None, :]
+    return lambda a: a * (sums - 2.0 * np.einsum("...j,...jj->...", c, a).real[..., None, None])
 
 
-def _ahle_rhs(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # C w - (w^T C w) w, for one vector or a (B, n) stack.
-    cw = c * w
-    return cw - (w * cw).sum(axis=-1, keepdims=True) * w
+def _ahle_rhs(c: np.ndarray):
+    # w -> C w - (w^T C w) w, for one vector or a (B, n) stack.
+    return lambda w: (cw := c * w) - (w * cw).sum(axis=-1, keepdims=True) * w
 
 
 def eahle_field(rho: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector:
@@ -223,7 +224,7 @@ def eahle_field(rho: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector
     cancels the normalization term exactly.
     """
     _check_dims(rho, coupling, "state")
-    return TangentVector(_eahle_rhs(rho.entries, coupling.values), rho)
+    return TangentVector(_eahle_rhs(coupling.values)(rho.entries), rho)
 
 
 def hebbian_initial_tangent(rho0: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector:
@@ -260,17 +261,13 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return steps, times
 
 
-def _renormalize_states(y: np.ndarray, t: float) -> np.ndarray:
-    y = y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None]
-    try:
-        return _check_states(y)
-    except NotPositiveDefiniteError as cause:
-        raise StepTooLargeError(float(t), cause.min_eigenvalue) from cause
+def _normalize_states(y: np.ndarray):
+    # Trace-normalized, symmetrized states and their deviations, for _certify_states.
+    return _symmetrize_states(y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None])
 
 
-def _renormalize_vectors(v: np.ndarray, t: float) -> np.ndarray:
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return _check_vectors(v)
+def _normalize_vectors(v: np.ndarray):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True), 0.0
 
 
 def _mapped_empty(shape, dtype) -> np.ndarray:
@@ -292,31 +289,49 @@ def _mapped_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
-def _integrate_batch(field, renormalize, y0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
+def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
     """Classical RK4 from each of the B initial values ``y0`` under the couplings ``c`` (B, n).
 
     Returns the grid times and all (B, T, ...) states, starting with y0.
-    ``renormalize(y, t)`` maps the states after a step back to the state
-    space and returns them, or raises for the first that is no longer valid.
-    The error raised is the one the cases would raise if run one after
-    another: a batch of several cases stops at its first failing step and
-    runs the cases again one at a time, which costs up to one more run of
-    the cases before the failing one.
+    ``rhs(c)`` is the field.  Each step ends in ``normalize(y)``: the states
+    the next step starts from and the deviations it measured, which
+    ``certify`` checks once per block of at most _BLOCK_BYTES of states.  A
+    failed block is checked again step by step, and the first failing
+    step's error is raised, lost positivity as StepTooLargeError at its
+    time.  A failed batch of several cases runs them again one at a time,
+    so the error is the one they would raise if run one after another.
     """
     steps, times = _step_schedule(t_end, dt)
     out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
     out[:, 0] = y0
-    y = y0
+    y, field = y0, rhs(c)
+    size = max(1, _BLOCK_BYTES // max(1, y0.nbytes))
+    devs = np.empty((len(y0), size))
     try:
-        # A state that overflows is non-finite, which renormalize reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s, h in enumerate(steps, start=1):
-                k1 = field(y, c)
-                k2 = field(y + 0.5 * h * k1, c)
-                k3 = field(y + 0.5 * h * k2, c)
-                k4 = field(y + h * k3, c)
-                y = renormalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), times[s])
-                out[:, s] = y
+        # Overflow is non-finite, which certify reports; later steps of its block are discarded.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo in range(1, len(times), size):
+                hi = min(lo + size, len(times))
+                for s in range(lo, hi):
+                    h = steps[s - 1]
+                    k1 = field(y)
+                    k2 = field(y + 0.5 * h * k1)
+                    k3 = field(y + 0.5 * h * k2)
+                    k4 = field(y + h * k3)
+                    y, devs[:, s - lo] = normalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                    out[:, s] = y
+                try:
+                    certify(out[:, lo:hi], devs[:, : hi - lo])
+                    continue
+                except QssError:
+                    pass
+                # The first step that fails alone raises; within roundoff of
+                # TOL_PD a block can fail where each of its steps passes.
+                for s in range(lo, hi):
+                    try:
+                        certify(out[:, s], devs[:, s - lo])
+                    except NotPositiveDefiniteError as cause:
+                        raise StepTooLargeError(float(times[s]), cause.min_eigenvalue) from cause
         return times, out
     except QssError:
         if len(y0) == 1:
@@ -324,23 +339,24 @@ def _integrate_batch(field, renormalize, y0: np.ndarray, c: np.ndarray, t_end: f
     # Each case runs bit for bit as in the batch, so the first that fails
     # alone raises; out here, its error does not chain the batch's.
     for k in range(len(y0)):
-        _integrate_batch(field, renormalize, y0[k : k + 1], c[k : k + 1], t_end, dt)
+        _integrate_batch(rhs, normalize, certify, y0[k : k + 1], c[k : k + 1], t_end, dt)
     raise AssertionError("a failed batch ran clean one case at a time")
 
 
 def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
     """RK4 of the matrix flow for B cases at once: times and (B, T, n, n) states.
 
-    Every step renormalizes the trace and checks all B states as density
-    matrices while they are still in cache; loss of positive-definiteness
-    raises :class:`StepTooLargeError` with the offending time.
+    Every step renormalizes the trace and symmetrizes; one stacked Cholesky
+    factorization then checks each block of steps as density matrices.  Loss
+    of positive-definiteness raises :class:`StepTooLargeError` with its time.
     """
-    return _integrate_batch(_eahle_rhs, _renormalize_states, rho0, c, t_end, dt)
+    return _integrate_batch(_eahle_rhs, _normalize_states, _certify_states, rho0, c, t_end, dt)
 
 
 def _ahle_integrate_batch(w0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
-    """RK4 of the sphere rule for B cases at once: times and (B, T, n) states."""
-    return _integrate_batch(_ahle_rhs, _renormalize_vectors, w0, c, t_end, dt)
+    """RK4 of the sphere rule for B cases at once: times and (B, T, n) unit vectors, checked per block."""
+    certify = lambda v, _: _check_vectors(v)  # the deviations are placeholders
+    return _integrate_batch(_ahle_rhs, _normalize_vectors, certify, w0, c, t_end, dt)
 
 
 def eahle_integrate(
@@ -350,9 +366,9 @@ def eahle_integrate(
 
     After every step the state is re-symmetrized and its trace renormalized
     to 1; a final shortened step lands exactly on ``t_end`` when t_end / dt
-    is not integral.  States are stored at every step, each validated as a
-    density matrix; loss of positive-definiteness raises
-    :class:`StepTooLargeError` with the offending time.
+    is not integral.  States are stored at every step, validated as density
+    matrices a block of steps at a time; loss of positive-definiteness
+    raises :class:`StepTooLargeError` with the first offending time.
     """
     _check_dims(rho0, coupling, "state")
     c = coupling.values
@@ -364,7 +380,7 @@ def eahle_integrate(
 def ahle_field(w: SphereVector, coupling: CouplingSpectrum) -> np.ndarray:
     """Vector field of the sphere learning rule: C w - (w^T C w) w."""
     _check_dims(w, coupling, "vector")
-    return _ahle_rhs(w.values, coupling.values)
+    return _ahle_rhs(coupling.values)(w.values)
 
 
 def ahle_integrate(

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStepError
 from .qss import (
+    _BLOCK_BYTES,
     DensityMatrix,
     SldMatrix,
     TangentVector,
@@ -39,11 +40,6 @@ from .qss import (
     sld,
     sld_inverse,
 )
-
-# Byte cap on the states of one time block (n = 64: four times).  A block's
-# temporaries are a few arrays of this size, so a curve consumed block by
-# block holds memory that does not grow with the number of times.
-_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""File formats: complex-matrix JSON, trajectory CSV/JSON, report JSON.
+"""File formats: complex-matrix JSON, trajectory CSV/JSON, vector CSV, report JSON.
 
 Matrices travel as ``{"n": int, "re": [[...]], "im": [[...]]}``, row-major.
 Trajectory CSV flattens density states row-major with interleaved real and
@@ -95,6 +95,11 @@ def _csv_chunks(traj: Trajectory):
         block = np.ascontiguousarray(a[lo:lo + _CSV_ROWS]).view(float).reshape(-1, len(header) - 1)
         rows = np.column_stack([traj.times[lo:lo + _CSV_ROWS], block])
         yield row * len(rows) % tuple(rows.ravel().tolist())
+
+
+def vector_to_csv(values) -> str:
+    """One CSV line of 17-digit values, as ``closed-form`` prints its vector."""
+    return ",".join("%.17g" % x for x in values) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

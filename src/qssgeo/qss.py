@@ -48,6 +48,10 @@ TOL_PD = 1e-12
 TOL_RECON = 1e-9
 TOL_SLD = 1e-9
 TOL_METRIC = 1e-9
+# Byte cap on the states of one block of times or RK4 steps (n = 64: four
+# states).  A block's temporaries are a few arrays of this size, so a curve
+# consumed block by block holds memory that does not grow with its length.
+_BLOCK_BYTES = 1 << 18
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -116,12 +120,18 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _check_states(a: np.ndarray) -> np.ndarray:
-    """Check the three state invariants on a matrix or every matrix of a (..., n, n) stack.
+def _symmetrize_states(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian part and each matrix's max |A - A^H|, for a matrix or (..., n, n) stack."""
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        return hermitian_part(a), herm_dev
 
-    Returns the symmetrized stack.  When some matrix breaks an invariant,
-    raises the error :class:`DensityMatrix` raises for the first such
-    matrix.  Non-finite entries fail the Hermiticity check.
+
+def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
+    """Return the symmetrized stack ``h`` if every matrix is a state; else raise for the first.
+
+    ``herm_dev`` is what :func:`_symmetrize_states` measured; the error is
+    :class:`DensityMatrix`'s for the first failing matrix in C order.
 
     Positivity is certified by one stacked Cholesky factorization of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
@@ -130,9 +140,6 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     matrix, reports its smallest eigenvalue, and accepts a stack that
     Cholesky rejected within that roundoff band.
     """
-    with np.errstate(invalid="ignore"):
-        herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        h = hermitian_part(a)
     trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
     fine = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE)
     if fine.all():
@@ -157,6 +164,15 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     if not trace_dev[i] <= TOL_TRACE:
         raise NotUnitTraceError(float(trace_dev[i]))
     raise NotPositiveDefiniteError(float(smallest[i]))
+
+
+def _check_states(a: np.ndarray) -> np.ndarray:
+    """Check the three state invariants on a matrix or every matrix of a (..., n, n) stack.
+
+    Returns the symmetrized stack or raises as :func:`_certify_states` does.
+    The RK4 integrators call the two halves apart, the second once per block.
+    """
+    return _certify_states(*_symmetrize_states(a))
 
 
 @dataclass(frozen=True, eq=False)

@@ -227,7 +227,7 @@ def suite_summary(reports) -> str:
 def _witness_residual(spec: GeodesicSpec, c: np.ndarray, u: np.ndarray) -> float:
     """The probe's residual for the coupling ``c`` and the frame ``u``."""
     u_h = u.conj().T
-    field = u @ _eahle_rhs(u_h @ spec.start.entries @ u, c) @ u_h
+    field = u @ _eahle_rhs(c)(u_h @ spec.start.entries @ u) @ u_h
     return frobenius(field - spec.initial_tangent.entries)
 
 

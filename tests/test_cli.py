@@ -95,6 +95,17 @@ def test_closed_form_stdout(capsys):
     np.testing.assert_allclose(values, [2 / np.sqrt(5), 1 / np.sqrt(5)], atol=1e-12)
 
 
+def test_readme_closed_form_stdout_bytes():
+    # the README command, as a fresh process: stdout is exactly one %.17g line
+    proc = subprocess.run(
+        [sys.executable, "-m", "qssgeo.cli", "closed-form",
+         "--w0", "0.7071067811865476,0.7071067811865476", "--c", "1,0", "--t", "0.6931471805599453"],
+        capture_output=True, env=_env_with_package(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"0.89442719099991586,0.44721359549995793\n"
+
+
 def test_eahle_run_reproducible(tmp_path):
     rho_path = tmp_path / "rho.json"
     io.save_matrix(str(rho_path), np.eye(2) / 2)

@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qssgeo as q
-from qssgeo.dynamics import _ahle_integrate_batch, _eahle_integrate_batch
-from qssgeo.geometry import _geodesic_curves
-from qssgeo.qss import frobenius, hermitian_deviation
+from qssgeo.dynamics import (
+    _ahle_integrate_batch,
+    _check_vectors,
+    _eahle_integrate_batch,
+    _step_schedule,
+)
+from qssgeo.geometry import _BLOCK_BYTES, _geodesic_curves
+from qssgeo.qss import _check_states, frobenius, hermitian_deviation
 
 
 def coupling(*values):
@@ -138,6 +143,98 @@ def test_batch_step_too_large_matches_separate_runs(starts, couplings):
         with pytest.raises(q.StepTooLargeError) as exc:
             _eahle_integrate_batch(rho0, np.array(couplings), 3.0, 0.5)
     assert (exc.value.time, exc.value.min_eigenvalue) == (expected.time, expected.min_eigenvalue)
+
+
+def _reference_rk4(field, normalize, y0, c, t_end, dt):
+    # classical RK4 that checks the states after every step
+    steps, times = _step_schedule(t_end, dt)
+    ys = [y0]
+    for h in steps:
+        y = ys[-1]
+        k1 = field(y, c)
+        k2 = field(y + 0.5 * h * k1, c)
+        k3 = field(y + 0.5 * h * k2, c)
+        k4 = field(y + h * k3, c)
+        ys.append(normalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+    return times, np.stack(ys, axis=1)
+
+
+def _matrix_field(a, c):
+    tr_c_rho = np.einsum("...j,...jj->...", c, a).real
+    return a * (c[:, :, None] + c[:, None, :] - 2.0 * tr_c_rho[:, None, None])
+
+
+def _sphere_field(w, c):
+    cw = c * w
+    return cw - (w * cw).sum(axis=-1, keepdims=True) * w
+
+
+def _normalize_matrices(y):
+    return _check_states(y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None])
+
+
+def _normalize_spheres(w):
+    return _check_vectors(w / np.linalg.norm(w, axis=-1, keepdims=True))
+
+
+def _grid_past_one_block(y0):
+    # one full block of steps, then a partial block of three ending in a shortened step
+    block = _BLOCK_BYTES // y0.nbytes
+    return (block + 2.5) / block, 1.0 / block
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_batch_kernels_equal_a_check_after_every_step(n, batch):
+    rng = np.random.default_rng(100 * n + batch)
+    rho0 = np.stack([q.random_density(n, int(s)).entries for s in rng.integers(0, 2**31, batch)])
+    c = rng.uniform(-1.0, 1.0, (batch, n))
+    w0 = rng.normal(size=(batch, n))
+    w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
+    for kernel, field, normalize, y0 in (
+        (_eahle_integrate_batch, _matrix_field, _normalize_matrices, rho0),
+        (_ahle_integrate_batch, _sphere_field, _normalize_spheres, w0),
+    ):
+        t_end, dt = _grid_past_one_block(y0)
+        times, states = kernel(y0, c, t_end, dt)
+        expected_times, expected = _reference_rk4(field, normalize, y0, c, t_end, dt)
+        assert times[-1] == t_end and times[-1] - times[-2] < dt
+        assert np.array_equal(times, expected_times)
+        assert np.array_equal(states, expected)
+
+
+def test_batch_failing_in_a_later_block_matches_separate_runs():
+    # the middle case reaches the precision floor near t = 13.8, past the first block of steps
+    starts = [np.diag([0.6, 0.4]), np.diag([0.5, 0.5]), np.eye(2) / 2]
+    couplings = [(0.1, 0.2), (1.0, 0.0), (0.3, -0.3)]
+    expected = _first_error_of_separate_runs(starts, couplings, 15.0, 1e-2)
+    rho0 = np.stack([q.make_density(a).entries for a in starts])
+    assert round(expected.time / 1e-2) > _BLOCK_BYTES // rho0.nbytes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(q.StepTooLargeError) as exc:
+            _eahle_integrate_batch(rho0, np.array(couplings), 15.0, 1e-2)
+    got = (exc.value.time, exc.value.min_eigenvalue, str(exc.value))
+    assert got == (expected.time, expected.min_eigenvalue, str(expected))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e150])
+def test_overflowing_flow_fails_hermiticity_without_warnings(scale):
+    # the steps after the first non-finite state, up to its block's end, warn of nothing
+    rho = q.make_density(np.diag([0.4, 0.3, 0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(q.NotHermitianError) as exc:
+            q.eahle_integrate(rho, coupling(scale, 0.0, 0.0), 1.0, 1e-3)
+    assert str(exc.value) == "matrix is not Hermitian: max |A - A^H| = nan"
+
+
+def test_overflowing_sphere_rule_fails_unit_norm_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(q.InvalidValueError) as exc:
+            q.ahle_integrate(q.SphereVector([0.6, 0.8]), coupling(1e200, 0.0), 1.0, 1e-3)
+    assert str(exc.value) == "vector is not unit norm: | ||w|| - 1 | = nan"
 
 
 @settings(max_examples=30, deadline=None)
