@@ -27,5 +27,5 @@ spec = q.random_geodesic_spec(2, seed=300)
 result = q.conjecture_probe(spec)
 print("\ncoupling spectrum:", result.best_coupling.values)
 print("unitary frame (abs):\n", np.abs(result.best_unitary))
-lam = np.linalg.eigvalsh(spec.cached_sld.entries)
+lam = np.linalg.eigvalsh(q.sld(spec.start, spec.initial_tangent).entries)
 print("half the SLD eigenvalues:", 0.5 * lam[::-1])

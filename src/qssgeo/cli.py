@@ -4,7 +4,8 @@ Subcommands: ``geodesic``, ``eahle``, ``ahle``, ``closed-form``, ``verify``,
 ``probe``.  Vectors are comma-separated decimals on the command line;
 matrices travel only as JSON files.  ``QSSGEO_SEED`` overrides the ``--seed``
 of ``verify`` and ``probe`` when set.  Exit codes: 0 success, 1 verification
-failure, 2 usage error (including unreadable input files), 3 numerical error.
+failure, 2 usage error (including unreadable input files and inputs of
+mismatched dimensions), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dynamics import (
     eahle_integrate,
     hebbian_initial_tangent,
 )
-from .errors import ParseError, QssError, UsageError
+from .errors import BaseMismatchError, DimensionMismatchError, ParseError, QssError, UsageError
 from .geometry import GeodesicSpec, _geodesic_curves, random_geodesic_spec
 from .qss import TangentVector, make_density
 from .verify import conjecture_probe, run_suite, suite_summary
@@ -269,7 +270,7 @@ def run(config: RunConfig) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (OSError, ParseError, UsageError) as exc:
+    except (OSError, ParseError, UsageError, DimensionMismatchError, BaseMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QssError as exc:

@@ -151,15 +151,6 @@ class _StateStack(Sequence):
     def __init__(self, array: np.ndarray):
         self.array = _freeze(array)
 
-    @classmethod
-    def of(cls, states) -> _StateStack:
-        states = list(states)
-        if states and all(isinstance(s, DensityMatrix) for s in states):
-            return cls(np.stack([s.entries for s in states]))
-        if states and all(isinstance(s, SphereVector) for s in states):
-            return cls(np.stack([s.values for s in states]))
-        raise ValueError("states must be all density matrices or all sphere vectors")
-
     def __len__(self) -> int:
         return len(self.array)
 
@@ -175,27 +166,24 @@ class _StateStack(Sequence):
 class Trajectory:
     """Time grid plus the state at every grid point, held as one read-only array.
 
-    ``states`` is given as a sequence of :class:`DensityMatrix` or of
-    :class:`SphereVector` objects.  The trajectory keeps ``array``, shaped
-    (T, n, n) or (T, n), and ``states`` becomes a read-only sequence that
-    builds each state object from it on access.
+    ``states`` is the :class:`_StateStack` that the integrators and the
+    geodesic evaluation build.  ``array`` is its (T, n, n) or (T, n) array,
+    and ``states`` builds each state object from it on access.
     """
 
     times: np.ndarray
-    states: Sequence
+    states: _StateStack
     meta: TrajectoryMeta
 
     def __post_init__(self):
-        states = self.states
-        if not isinstance(states, _StateStack):
-            states = _StateStack.of(states)
+        if not isinstance(self.states, _StateStack):
+            raise TypeError(f"states must be a _StateStack, got {type(self.states).__name__}")
         t = np.array(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(states):
+        if t.ndim != 1 or len(t) != len(self.states):
             raise ValueError("times and states must be equal-length 1-d sequences")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", _freeze(t))
-        object.__setattr__(self, "states", states)
 
     @property
     def array(self) -> np.ndarray:

@@ -17,7 +17,7 @@ is a pointwise evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,18 +46,16 @@ from .qss import (
 class GeodesicSpec:
     """Initial data of a geodesic: start point and initial tangent.
 
-    ``cached_sld`` is the tangent's own SLD at the start, the object
-    ``sld(start, initial_tangent)`` returns; construction computes it unless
-    the tangent already has.
+    Construction computes the tangent's SLD at the start, unless the tangent
+    already has; ``sld(start, initial_tangent)`` returns that one object.
     """
 
     start: DensityMatrix
     initial_tangent: TangentVector
-    cached_sld: SldMatrix = field(init=False)
 
     def __post_init__(self):
         # sld raises BaseMismatchError for a tangent attached elsewhere.
-        object.__setattr__(self, "cached_sld", sld(self.start, self.initial_tangent))
+        sld(self.start, self.initial_tangent)
 
     @property
     def dim(self) -> int:
@@ -70,7 +68,7 @@ class GeodesicSpec:
         What :func:`_geodesic_blocks` evaluates the curve from, computed
         once per spec.
         """
-        lam, v = eig_hermitian(self.cached_sld.entries)
+        lam, v = eig_hermitian(sld(self.start, self.initial_tangent).entries)
         v_h = np.ascontiguousarray(v.conj().T)
         return 0.5 * lam, v, v_h, v_h @ self.start.entries @ v
 

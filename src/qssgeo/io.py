@@ -54,11 +54,13 @@ def matrix_to_json_dict(a: np.ndarray) -> dict:
 
 def matrix_from_json_dict(d: dict) -> np.ndarray:
     try:
-        n = int(d["n"])
+        n = d["n"]
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
+    if type(n) is not int:  # json reads 2.0, "2", true and 1e400 as other types
+        raise ParseError(f"matrix size must be an integer, got {n!r}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ParseError("matrix entries must be finite")
     if re.shape != (n, n) or im.shape != (n, n):
@@ -102,11 +104,7 @@ def vector_to_csv(values) -> str:
     return ",".join("%.17g" % x for x in values) + "\n"
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    return "".join(_csv_chunks(traj))
-
-
-def _trajectory_parts(traj: Trajectory):
+def _json_chunks(traj: Trajectory):
     density = traj.array.ndim == 3
     meta = {
         "integrator": traj.meta.integrator,
@@ -115,19 +113,9 @@ def _trajectory_parts(traj: Trajectory):
         "kind": "density" if density else "sphere",
         "n": traj.array.shape[1],
     }
-    states = map(matrix_to_json_dict if density else np.ndarray.tolist, traj.array)
-    return {"meta": meta, "times": traj.times.tolist()}, states
-
-
-def trajectory_to_json_dict(traj: Trajectory) -> dict:
-    head, states = _trajectory_parts(traj)
-    return head | {"states": list(states)}
-
-
-def _json_chunks(traj: Trajectory):
-    head, states = _trajectory_parts(traj)
-    yield to_json(head)[:-2] + ',\n  "states": ['  # reopen the object before its closing "\n}"
-    for k, state in enumerate(states):
+    head = to_json({"meta": meta, "times": traj.times.tolist()})
+    yield head[:-2] + ',\n  "states": ['  # reopen the object before its closing "\n}"
+    for k, state in enumerate(map(matrix_to_json_dict if density else np.ndarray.tolist, traj.array)):
         yield (",\n    " if k else "\n    ") + to_json(state, "    ")
     yield "\n  ]\n}\n"
 

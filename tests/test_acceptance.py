@@ -228,11 +228,12 @@ def test_criterion_09_conservation(coincidence_cases):
     min_eig = np.inf
     for n, seed, c in coincidence_cases:
         rho0 = q.random_density(n, seed)
-        traj = q.eahle_integrate(rho0, q.CouplingSpectrum(c), 1.0, 1e-3)
-        for state in traj.states:
-            worst_trace = max(worst_trace, abs(float(np.trace(state.entries).real) - 1))
-            worst_herm = max(worst_herm, hermitian_deviation(state.entries))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(state.entries)[0]))
+        # the three checks over the trajectory's stacked (T, n, n) states
+        states = q.eahle_integrate(rho0, q.CouplingSpectrum(c), 1.0, 1e-3).array
+        traces = np.trace(states, axis1=-2, axis2=-1).real
+        worst_trace = max(worst_trace, float(np.max(np.abs(traces - 1))))
+        worst_herm = max(worst_herm, hermitian_deviation(states))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(states)[:, 0].min()))
     ok = worst_trace <= 1e-9 and worst_herm <= 1e-9 and min_eig > 0
     _announce(
         "9 conservation",

@@ -1,7 +1,15 @@
-"""The benchmark's traced run names only functions and classes that exist, and its kernel checks pass."""
+"""The benchmark's traced run names only functions and classes that exist, and its checks pass.
 
+A library change that breaks what the benchmark calls or reads (a CLI flag,
+a key of an output file, a function the workloads call) fails here, in one
+smoke-size cycle of each workload.
+"""
+
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -18,15 +26,19 @@ def test_trace_targets_resolve(monkeypatch):
     assert set(counters) <= {label for label, _, _ in targets}
 
 
-def test_geometry_kernels_smoke_cycle_passes_its_checks(monkeypatch):
-    # the checks compare every kernel of a set with the benchmark's own
-    # oracle, which does not use qssgeo
+@pytest.mark.parametrize("name", ["geometry_kernels", "verify_small", "verify_large", "cli_session"])
+def test_smoke_cycle_passes_its_checks(name, tmp_path, monkeypatch):
+    # the checks compare qssgeo's results with the benchmark's own oracle,
+    # which does not use qssgeo; cli_session runs its README commands
+    # through cli.main, in this process
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
 
-    workload = workloads.make("geometry_kernels", 0, smoke=True)
-    ops = workload.cycle(0)
+    workload = workloads.make(name, 0, smoke=True)
+    if name == "cli_session":
+        workload.start(str(tmp_path), dict(os.environ))
+    ops = workload.cycle(0, in_process=True)
     assert ops
     problems = [p for op in ops for p in op.check(op.run())] + workload.final_check()
     assert problems == []

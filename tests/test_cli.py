@@ -321,12 +321,18 @@ def _write_inputs(path):
     io.save_matrix(str(path / "rho.json"), np.eye(2) / 2)
     io.save_matrix(str(path / "rho3.json"), np.diag([0.4, 0.3, 0.3]))
     io.save_matrix(str(path / "x.json"), np.diag([0.1, -0.1]))
+    io.save_matrix(str(path / "x3.json"), np.diag([0.1, -0.1, 0.0]))
     (path / "latin1.json").write_bytes(b'{"n": 2, "note": "\xe9"}')
     (path / "huge_n.json").write_text('{"n": 1e400, "re": [[1]], "im": [[0]]}')
     (path / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
     (path / "inf.json").write_text(
         '{"n": 2, "re": [[Infinity, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'
     )
+    # sizes that int() read as 2, 2 and 1, each with a matrix of that size
+    for name, n, re, im in (("float_n", "2.7", "[[0.5, 0], [0, 0.5]]", "[[0, 0], [0, 0]]"),
+                            ("string_n", '"2"', "[[0.5, 0], [0, 0.5]]", "[[0, 0], [0, 0]]"),
+                            ("bool_n", "true", "[[1]]", "[[0]]")):
+        (path / f"{name}.json").write_text(f'{{"n": {n}, "re": {re}, "im": {im}}}')
     (path / "dir").mkdir(exist_ok=True)
 
 
@@ -364,6 +370,9 @@ _OUT_DIR_ARGV = [
         *(argv + ["--out", "dir"] for argv in _OUT_DIR_ARGV),
         ["geodesic", "--rho0", "rho.json", "--x0", "nan.json"],
         ["eahle", "--rho0", "inf.json", "--c", "1,0"],
+        ["eahle", "--rho0", "float_n.json", "--c", "1,0"],
+        ["eahle", "--rho0", "string_n.json", "--c", "1,0"],
+        ["eahle", "--rho0", "bool_n.json", "--c", "1,0"],
     ],
 )
 def test_unreadable_path_is_usage_error(argv, tmp_path):
@@ -388,6 +397,22 @@ def test_overflowing_flow_is_numerical_error(argv, tmp_path):
     # the state check reports it as one line, with no RuntimeWarning before it
     _write_inputs(tmp_path)
     _assert_one_line_exit(_run_cli(argv, tmp_path), 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eahle", "--rho0", "rho.json", "--c", "1,0,0"],
+        ["ahle", "--w0", "1,0", "--c", "1"],
+        ["closed-form", "--w0", "1,0", "--c", "1", "--t", "1"],
+        ["geodesic", "--rho0", "rho.json", "--x0", "x3.json"],
+    ],
+)
+def test_dimension_mismatch_is_usage_error(argv, tmp_path):
+    _write_inputs(tmp_path)
+    proc = _run_cli(argv, tmp_path)
+    _assert_one_line_exit(proc, 2)
+    assert proc.stderr.startswith("error: ") and "dimension" in proc.stderr
 
 
 # A valid value of every flag, and the flags of every command; the grids are short.

@@ -90,7 +90,7 @@ def test_geodesic_diagonal_spot_value():
     rho = q.make_density(np.eye(2) / 2)
     x = q.TangentVector(np.diag([0.5, -0.5]), rho)
     spec = q.GeodesicSpec(rho, x)
-    np.testing.assert_allclose(spec.cached_sld.entries, np.diag([1.0, -1.0]), atol=1e-14)
+    np.testing.assert_allclose(q.sld(rho, x).entries, np.diag([1.0, -1.0]), atol=1e-14)
     t = np.log(2.0)
     got = q.e_geodesic(spec, t)
     expected = np.diag([np.exp(t), np.exp(-t)]) / (np.exp(t) + np.exp(-t))
@@ -260,9 +260,15 @@ def test_transport_composition_reported():
 
 
 def test_geodesic_spec_shares_the_tangents_sld():
+    # construction computes the tangent's own SLD, and the spec's frame is
+    # the eigendecomposition of that object
     rho = q.random_density(3, 5)
     x = q.random_tangent(rho, 6)
-    assert q.GeodesicSpec(rho, x).cached_sld is q.sld(rho, x)
+    spec = q.GeodesicSpec(rho, x)
+    assert vars(x)["_sld"] is q.sld(rho, x)
+    rates, frame, _, _ = spec._frame
+    lam, v = q.eig_hermitian(q.sld(rho, x).entries)
+    assert np.array_equal(rates, 0.5 * lam) and np.array_equal(frame, v)
 
 
 def test_kernel_set_builds_one_sld_per_tangent(monkeypatch):

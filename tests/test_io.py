@@ -64,6 +64,11 @@ def test_matrix_from_dict_rejects_non_finite_entries():
     for re, im in (("[[NaN]]", "[[0]]"), ("[[1]]", "[[-Infinity]]"), ("[[1e400]]", "[[0]]")):
         with pytest.raises(q.ParseError, match="finite"):
             io.matrix_from_json_dict(json.loads(f'{{"n": 1, "re": {re}, "im": {im}}}'))
+    # JSON reads these sizes as a float, a string and a bool, which int() took as 2, 2 and 1
+    half = {"re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}
+    for d in ({"n": 2.7} | half, {"n": "2"} | half, {"n": True, "re": [[1]], "im": [[0]]}):
+        with pytest.raises(q.ParseError, match="integer"):
+            io.matrix_from_json_dict(d)
 
 
 def density_trajectory():
@@ -72,7 +77,7 @@ def density_trajectory():
 
 
 def test_density_csv_layout():
-    text = io.trajectory_to_csv(density_trajectory())
+    text = io.trajectory_to_text(density_trajectory(), "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "t,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11"
     assert len(lines) == 4
@@ -88,7 +93,7 @@ def test_csv_17_digit_values():
         0.001,
         1e-3,
     )
-    lines = io.trajectory_to_csv(traj).strip().split("\n")
+    lines = io.trajectory_to_text(traj, "csv").strip().split("\n")
     assert lines[0] == "t,w_1,w_2"
     w1 = lines[1].split(",")[1]
     assert w1 == "0.70710678118654746"
@@ -96,7 +101,7 @@ def test_csv_17_digit_values():
 
 def test_trajectory_json_mirror():
     traj = density_trajectory()
-    d = io.trajectory_to_json_dict(traj)
+    d = json.loads(io.trajectory_to_text(traj, "json"))
     assert d["meta"]["kind"] == "density"
     assert d["meta"]["integrator"] == "rk4"
     assert d["meta"]["dt"] == 1e-3
@@ -104,9 +109,7 @@ def test_trajectory_json_mirror():
     assert d["meta"]["n"] == 2
     assert len(d["times"]) == len(d["states"]) == 3
     assert d["states"][0]["re"][0][0] == 0.5
-    # survives a JSON round trip
-    again = json.loads(json.dumps(d))
-    assert again == d
+    assert d == reference_json(traj)
 
 
 def test_sphere_trajectory_json():
@@ -114,9 +117,10 @@ def test_sphere_trajectory_json():
         q.SphereVector(np.array([0.6, 0.8])), q.CouplingSpectrum(np.array([0.5, -0.5])),
         0.01, 1e-2,
     )
-    d = io.trajectory_to_json_dict(traj)
+    d = json.loads(io.trajectory_to_text(traj, "json"))
     assert d["meta"]["kind"] == "sphere"
     assert d["states"][0] == [0.6, 0.8]
+    assert d == reference_json(traj)
 
 
 def test_reports_json():
@@ -142,17 +146,22 @@ def test_probe_result_json():
     }
 
 
+def stack(states):
+    """The states' arrays as the _StateStack a Trajectory holds."""
+    return _StateStack(np.stack([s.entries if isinstance(s, q.DensityMatrix) else s.values for s in states]))
+
+
 def fixed_trajectories():
     meta = q.TrajectoryMeta("rk4", 0.25, (1.0, -0.5))
     times = np.array([0.0, 0.25])
-    density = q.Trajectory(times, [
+    density = q.Trajectory(times, stack([
         q.make_density([[2 / 3, 0.1 - 0.2j], [0.1 + 0.2j, 1 / 3]]),
         q.make_density([[0.5, -1e-17 - 1j / 7], [-1e-17 + 1j / 7, 0.5]]),
-    ], meta)
-    sphere = q.Trajectory(times, [
+    ]), meta)
+    sphere = q.Trajectory(times, stack([
         q.SphereVector(np.array([0.6, -0.8])),
         q.SphereVector(np.array([1.0, 1.0]) / np.sqrt(2)),
-    ], meta)
+    ]), meta)
     return density, sphere
 
 
@@ -221,11 +230,28 @@ def reference_csv(traj):
     return "\n".join(lines) + "\n"
 
 
+def reference_json(traj):
+    """The trajectory JSON as a dict, built from the trajectory's fields alone."""
+    a = traj.array
+    meta = {
+        "integrator": traj.meta.integrator,
+        "dt": traj.meta.dt,
+        "coupling": list(traj.meta.coupling),
+        "kind": "density" if a.ndim == 3 else "sphere",
+        "n": a.shape[1],
+    }
+    if a.ndim == 3:
+        states = [{"n": len(s), "re": s.real.tolist(), "im": s.imag.tolist()} for s in a]
+    else:
+        states = a.tolist()
+    return {"meta": meta, "times": traj.times.tolist(), "states": states}
+
+
 def assert_writers_match_references(traj):
     text = io.trajectory_to_text(traj, "json")
-    assert text == json.dumps(io.trajectory_to_json_dict(traj), indent=2) + "\n"
-    assert json.loads(text) == io.trajectory_to_json_dict(traj)
-    assert io.trajectory_to_text(traj, "csv") == io.trajectory_to_csv(traj) == reference_csv(traj)
+    assert text == json.dumps(reference_json(traj), indent=2) + "\n"
+    assert json.loads(text) == reference_json(traj)
+    assert io.trajectory_to_text(traj, "csv") == reference_csv(traj)
     # a chunk per state for JSON (plus head and tail), per block of rows for CSV
     assert len(list(io.trajectory_chunks(traj, "json"))) == len(traj) + 2
     assert len(list(io.trajectory_chunks(traj, "csv"))) == 1 + math.ceil(len(traj) / io._CSV_ROWS)
@@ -246,7 +272,7 @@ def test_streamed_writers_match_whole_string_writers(density, n, count, seed):
     else:
         states = [q.SphereVector(w / np.linalg.norm(w)) for w in rng.standard_normal((count, n))]
     meta = q.TrajectoryMeta("rk4", float(rng.uniform(1e-4, 1)), tuple(rng.uniform(-1, 1, n).tolist()))
-    assert_writers_match_references(q.Trajectory(times, states, meta))
+    assert_writers_match_references(q.Trajectory(times, stack(states), meta))
 
 
 # -0.0, subnormals, the extremes and integer-valued floats; repr and %.17g
@@ -260,10 +286,10 @@ def test_writers_spell_special_values_like_json_dumps():
     meta = q.TrajectoryMeta("exact", 1e-308, (-0.0, 5e-324, 1.0, -1e308))
     sphere = [q.SphereVector(np.array(w)) for w in ([-0.0, 1.0], [1.0, -0.0], [5e-324, 1.0])]
     sphere += [q.SphereVector(np.array([0.6, -0.8]))] * (len(SPECIAL) - 3)
-    assert_writers_match_references(q.Trajectory(times, sphere, meta))
+    assert_writers_match_references(q.Trajectory(times, stack(sphere), meta))
     states = [q.make_density(np.diag([0.5, 0.5]) + 1e-310 * np.array([[0, 1], [1, 0]]))]
     states += [q.make_density(np.diag([0.75, 0.25]))] * (len(SPECIAL) - 1)
-    assert_writers_match_references(q.Trajectory(times, states, meta))
+    assert_writers_match_references(q.Trajectory(times, stack(states), meta))
     payload = {"values": SPECIAL + [0.0, math.nan, math.inf, -math.inf], "empty": [], "none": {},
                "nested": [[], [1, 2.5, None, True, "\u00e9"], {"k": [-0.0]}], "tuple": (1.5, -0.0)}
     assert io.to_json(payload) == json.dumps(payload, indent=2)
