@@ -11,7 +11,7 @@ import qssgeo as q
 
 # A state is Hermitian, positive definite, unit trace.  The maximally mixed
 # state sits at the "center" of the space.
-rho = q.make_density(np.eye(2) / 2)
+rho = q.DensityMatrix(np.eye(2) / 2)
 print("maximally mixed state:\n", rho.entries.real)
 
 # Tangent vectors are Hermitian and traceless.
@@ -41,6 +41,6 @@ print("metric via the eigenbasis sum:   ", q.fisher_metric_eigenbasis(rho3, a, b
 print("\n|X|^2 =", q.fisher_metric(rho3, a, a), " |Y|^2 =", q.fisher_metric(rho3, b, b))
 
 # Degenerate spectra need no special treatment; at rho = I/n the SLD is n X.
-rho4 = q.make_density(np.eye(4) / 4)
+rho4 = q.DensityMatrix(np.eye(4) / 4)
 x4 = q.random_tangent(rho4, seed=3)
 print("\nat I/4, ||sld(X) - 4X|| =", np.linalg.norm(q.sld(rho4, x4).entries - 4 * x4.entries))

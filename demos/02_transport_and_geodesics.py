@@ -9,8 +9,8 @@ import numpy as np
 
 import qssgeo as q
 
-rho1 = q.make_density(np.diag([0.75, 0.25]))
-rho2 = q.make_density(np.eye(2) / 2)
+rho1 = q.DensityMatrix(np.diag([0.75, 0.25]))
+rho2 = q.DensityMatrix(np.eye(2) / 2)
 x = q.TangentVector(np.diag([0.1, -0.1]), rho1)
 
 # Transport x from rho1 to rho2; the result is again Hermitian and traceless.

@@ -14,7 +14,7 @@ c = q.CouplingSpectrum(np.array([1.0, 0.0]))
 
 # Matrix flow from the maximally mixed state; mass moves toward the
 # eigendirection with the larger coupling.
-rho0 = q.make_density(np.eye(2) / 2)
+rho0 = q.DensityMatrix(np.eye(2) / 2)
 traj = q.eahle_integrate(rho0, c, t_end=np.log(2.0), dt=1e-3)
 print("matrix flow at t = ln 2:\n", traj.states[-1].entries.real)
 print("(exactly diag(0.8, 0.2) in the limit dt -> 0)")
@@ -31,7 +31,7 @@ print("gap:", np.linalg.norm(straj.states[-1].values - exact.values))
 # diagonal matrix flow; signs travel separately.
 theta0, sigma = q.sphere_to_simplex(w0)
 print("\nchart image of w0:", theta0.values, "signs:", sigma.values)
-dtraj = q.eahle_integrate(q.make_density(np.diag(theta0.values)), c, 1.0, 1e-3)
+dtraj = q.eahle_integrate(q.DensityMatrix(np.diag(theta0.values)), c, 1.0, 1e-3)
 wtraj = q.ahle_integrate(w0, c, 1.0, 1e-3)
 worst = max(
     float(np.linalg.norm(ws.values**2 - np.diag(ms.entries).real))

@@ -64,7 +64,6 @@ from .qss import (
     fisher_metric,
     fisher_metric_eigenbasis,
     fisher_metric_from_slds,
-    make_density,
     random_density,
     random_tangent,
     sld,

@@ -4,8 +4,8 @@ Subcommands: ``geodesic``, ``eahle``, ``ahle``, ``closed-form``, ``verify``,
 ``probe``.  Vectors are comma-separated decimals on the command line;
 matrices travel only as JSON files.  ``QSSGEO_SEED`` overrides the ``--seed``
 of ``verify`` and ``probe`` when set.  Exit codes: 0 success, 1 verification
-failure, 2 usage error (including unreadable input files and inputs of
-mismatched dimensions), 3 numerical error.
+failure, 2 usage error (including unreadable input files, inputs of
+mismatched dimensions and 1 x 1 states), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .dynamics import (
     eahle_integrate,
     hebbian_initial_tangent,
 )
-from .errors import BaseMismatchError, DimensionMismatchError, ParseError, QssError, UsageError
+from .errors import (BaseMismatchError, DimensionMismatchError, DimensionTooSmallError,
+                     ParseError, QssError, UsageError)
 from .geometry import GeodesicSpec, _geodesic_curves, random_geodesic_spec
-from .qss import TangentVector, make_density
+from .qss import DensityMatrix, TangentVector
 from .verify import conjecture_probe, run_suite, suite_summary
 
 
@@ -193,7 +194,7 @@ def _write_text(path: str, chunks) -> None:
 
 
 def _cmd_geodesic(config: RunConfig) -> int:
-    rho0 = make_density(io.load_matrix(config.input_path))
+    rho0 = DensityMatrix(io.load_matrix(config.input_path))
     if config.coupling is not None:
         coupling = CouplingSpectrum(config.coupling)
         x0 = hebbian_initial_tangent(rho0, coupling)
@@ -210,7 +211,7 @@ def _cmd_geodesic(config: RunConfig) -> int:
 
 
 def _cmd_eahle(config: RunConfig) -> int:
-    rho0 = make_density(io.load_matrix(config.input_path))
+    rho0 = DensityMatrix(io.load_matrix(config.input_path))
     coupling = CouplingSpectrum(config.coupling)
     traj = eahle_integrate(rho0, coupling, config.t_end, config.dt)
     _write_text(config.output_path, io.trajectory_chunks(traj, config.format))
@@ -270,7 +271,8 @@ def run(config: RunConfig) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (OSError, ParseError, UsageError, DimensionMismatchError, BaseMismatchError) as exc:
+    except (OSError, ParseError, UsageError, DimensionMismatchError, DimensionTooSmallError,
+            BaseMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QssError as exc:

@@ -209,21 +209,17 @@ def eahle_field(rho: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector
     """Vector field of the matrix learning flow at ``rho``.
 
     Hermitian and traceless by construction: Tr(rho C + C rho) = 2 Tr(C rho)
-    cancels the normalization term exactly.
+    cancels the normalization term exactly.  Its SLD is 2C - 2 Tr(C rho) I.
+    At the start point it is the initial tangent of the geodesic the flow
+    follows: given to :class:`~qssgeo.geometry.GeodesicSpec`, it yields the
+    curve the integrated flow must trace; ``hebbian_initial_tangent`` names
+    it in that role.
     """
     _check_dims(rho, coupling, "state")
     return TangentVector(_eahle_rhs(coupling.values)(rho.entries), rho)
 
 
-def hebbian_initial_tangent(rho0: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector:
-    """Initial tangent of the geodesic that realizes the flow started at ``rho0``.
-
-    Identical to :func:`eahle_field` at the start point; named separately
-    because it is the geodesic-side ingredient: feeding it to
-    :class:`~qssgeo.geometry.GeodesicSpec` yields the curve the integrated
-    flow must follow.  Its SLD is 2C - 2 Tr(C rho0) I at every rho0.
-    """
-    return eahle_field(rho0, coupling)
+hebbian_initial_tangent = eahle_field
 
 
 def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -136,8 +136,9 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
     Positivity is certified by one stacked Cholesky factorization of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
     TOL_PD up to its backward error, about n eps ||h|| (1.4e-14 at n = 64).
-    ``eigvalsh`` runs only when some check fails: it locates the first failing
-    matrix, reports its smallest eigenvalue, and accepts a stack that
+    ``eigvalsh`` runs only when some check fails, on the matrices that passed
+    the Hermitian and trace checks, which are finite: it locates the first
+    failing matrix, reports its smallest eigenvalue, and accepts a stack that
     Cholesky rejected within that roundoff band.
     """
     trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
@@ -148,13 +149,8 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
             return h
         except np.linalg.LinAlgError:
             pass
-    try:
-        smallest = np.linalg.eigvalsh(h)[..., 0]
-    except np.linalg.LinAlgError:
-        # LAPACK fails on non-finite entries, which fail the Hermiticity check: decompose the rest.
-        smallest = np.full(herm_dev.shape, np.nan)
-        hermitian = herm_dev <= TOL_HERM
-        smallest[hermitian] = np.linalg.eigvalsh(h[hermitian])[..., 0]
+    smallest = np.zeros(fine.shape)
+    smallest[fine] = np.linalg.eigvalsh(h[fine])[..., 0]
     ok = fine & (smallest > TOL_PD)
     if ok.all():
         return h
@@ -179,15 +175,18 @@ def _check_states(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A state: Hermitian, strictly positive-definite, unit-trace matrix.
 
-    Construction validates all three invariants.  Inputs within TOL_HERM of
-    Hermitian are symmetrized silently; larger deviations are rejected rather
-    than masked.
+    Construction validates all three invariants, from dimension 2 on: a
+    1 x 1 state is a single point with no tangent space.  Inputs within
+    TOL_HERM of Hermitian are symmetrized silently; larger deviations are
+    rejected rather than masked.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
         a = _as_square_complex(self.entries)
+        if a.shape[0] < 2:
+            raise DimensionTooSmallError(a.shape[0])
         h = _check_states(a)
         object.__setattr__(self, "entries", _freeze(h))
 
@@ -210,9 +209,7 @@ class DensityMatrix:
             return True
         if not isinstance(other, DensityMatrix):
             return NotImplemented
-        return self.entries.shape == other.entries.shape and np.array_equal(
-            self.entries, other.entries
-        )
+        return np.array_equal(self.entries, other.entries)
 
     def __hash__(self) -> int:
         return hash(self.entries.tobytes())
@@ -275,17 +272,6 @@ class SldMatrix(_AttachedMatrix):
         pairing = abs(2.0 * float(np.vdot(self.base.entries, a).real))
         if not _negligible(pairing, TOL_TRACE, a):
             raise NotInSldSpaceError(pairing)
-
-
-def make_density(entries) -> DensityMatrix:
-    """Validate ``entries`` as a density matrix.
-
-    Raises
-    ------
-    NotHermitianError, NotUnitTraceError, NotPositiveDefiniteError
-        Naming the violated invariant together with the measured deviation.
-    """
-    return DensityMatrix(np.asarray(entries, dtype=complex))
 
 
 def random_density(n: int, seed: int) -> DensityMatrix:

@@ -37,7 +37,7 @@ from .dynamics import (
     sphere_to_simplex,
 )
 from .geometry import GeodesicSpec, _geodesic_blocks
-from .qss import TOL_HERM, _freeze, frobenius, make_density, random_density
+from .qss import TOL_HERM, DensityMatrix, _freeze, frobenius, random_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +118,7 @@ def _sphere_deviations(w0s, couplings, t_end: float, dt: float):
     exact solution and the gap between its squares and the diagonal of the
     geodesic started at the squared point.
     """
-    rho0s = [make_density(np.diag(sphere_to_simplex(w)[0].values)) for w in w0s]
+    rho0s = [DensityMatrix(np.diag(sphere_to_simplex(w)[0].values)) for w in w0s]
     specs = [GeodesicSpec(r, hebbian_initial_tangent(r, c)) for r, c in zip(rho0s, couplings)]
     w0 = np.stack([w.values for w in w0s])
     c = np.stack([coupling.values for coupling in couplings])

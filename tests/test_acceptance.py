@@ -97,7 +97,7 @@ def test_criterion_03_sphere_closed_form():
 def test_criterion_04_exact_spot_value():
     # e^{2 ln 2} / (e^{2 ln 2} + 1) = 4/5 by all three routes
     t = np.log(2.0)
-    rho0 = q.make_density(np.eye(2) / 2)
+    rho0 = q.DensityMatrix(np.eye(2) / 2)
     c = q.CouplingSpectrum(np.array([1.0, 0.0]))
     expected = np.diag([0.8, 0.2])
 
@@ -124,7 +124,7 @@ def test_criterion_05_sld_suite():
     for k in range(500):
         n = 2 + k % 7
         if k % 10 == 0:
-            rho = q.make_density(np.eye(n) / n)
+            rho = q.DensityMatrix(np.eye(n) / n)
         else:
             rho = q.random_density(n, 10_000 + k)
         x = q.random_tangent(rho, 20_000 + k)

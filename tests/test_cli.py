@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qssgeo
-from qssgeo import io
+from qssgeo import cli, errors, io
 from qssgeo.cli import _build_parser, main, parse_args, run
 from qssgeo.errors import UsageError
 
@@ -296,12 +296,73 @@ def test_geodesic_and_eahle_share_time_grid(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import qssgeo, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=_env_with_package(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # importing the CLI adds only the standard library, numpy and qssgeo to
+    # what a bare interpreter has loaded (site hooks may load more there)
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=_env_with_package(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = {name.partition(".")[0] for name in loaded("import qssgeo.cli") - loaded("pass")}
+    assert "scipy" not in added
+    assert added <= set(sys.stdlib_module_names) | {"numpy", "qssgeo"}, sorted(added)
+
+
+# The documented exit code of every QssError class, with arguments to build
+# one; a class missing here fails the test until its code is decided.
+_ERROR_EXITS = {
+    errors.ParseError: (2, ("bad file",)),
+    errors.UsageError: (2, ("bad flag",)),
+    errors.DimensionMismatchError: (2, ("dimension 2 != 3",)),
+    errors.BaseMismatchError: (2, ("not attached",)),
+    errors.DimensionTooSmallError: (2, (1,)),
+    errors.QssError: (3, ("failed",)),
+    errors.InvalidValueError: (3, ("bad value",)),
+    errors.NotHermitianError: (3, (0.5,)),
+    errors.NotUnitTraceError: (3, (0.5,)),
+    errors.NotTracelessError: (3, (0.5,)),
+    errors.NotPositiveDefiniteError: (3, (-0.5,)),
+    errors.NotInSldSpaceError: (3, (0.5,)),
+    errors.DecompositionFailedError: (3, ("did not converge",)),
+    errors.InvalidStepError: (3, ("bad step",)),
+    errors.StepTooLargeError: (3, (1.0, -0.5)),
+    errors.ZeroComponentError: (3, (0, 0.0)),
+}
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
+    classes = {
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.QssError)
+    }
+    assert classes == set(_ERROR_EXITS)
+    config = parse_args(["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "1"])
+    for cls, (code, args) in _ERROR_EXITS.items():
+        error = cls(*args)
+
+        def fail(*_):
+            raise error
+
+        monkeypatch.setattr(cli, "ahle_closed_form", fail)
+        assert run(config) == code, cls.__name__
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1, cls.__name__
+        prefix = "error: " if code == 2 else "numerical error: "
+        assert err == f"{prefix}{error}\n", cls.__name__
+
+
+def test_decomposition_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    rho_path = tmp_path / "rho.json"
+    io.save_matrix(str(rho_path), np.eye(2) / 2)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["geodesic", "--rho0", str(rho_path), "--c", "1,0", "--t-end", "0.01"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: Eigenvalues did not converge\n"
 
 
 def test_run_config_is_usable_directly(tmp_path):
@@ -320,6 +381,7 @@ def _write_inputs(path):
     """Valid and unreadable input files, named as the argv below name them."""
     io.save_matrix(str(path / "rho.json"), np.eye(2) / 2)
     io.save_matrix(str(path / "rho3.json"), np.diag([0.4, 0.3, 0.3]))
+    io.save_matrix(str(path / "rho1.json"), np.eye(1))
     io.save_matrix(str(path / "x.json"), np.diag([0.1, -0.1]))
     io.save_matrix(str(path / "x3.json"), np.diag([0.1, -0.1, 0.0]))
     (path / "latin1.json").write_bytes(b'{"n": 2, "note": "\xe9"}')
@@ -406,6 +468,9 @@ def test_overflowing_flow_is_numerical_error(argv, tmp_path):
         ["ahle", "--w0", "1,0", "--c", "1"],
         ["closed-form", "--w0", "1,0", "--c", "1", "--t", "1"],
         ["geodesic", "--rho0", "rho.json", "--x0", "x3.json"],
+        # a 1 x 1 state has no tangent space
+        ["eahle", "--rho0", "rho1.json", "--c", "1"],
+        ["geodesic", "--rho0", "rho1.json", "--c", "1"],
     ],
 )
 def test_dimension_mismatch_is_usage_error(argv, tmp_path):

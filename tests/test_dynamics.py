@@ -37,7 +37,7 @@ def test_field_scalar_coupling_vanishes():
 
 def test_field_hand_value():
     # rho C + C rho = diag(1,0); 2 Tr(C rho) rho = diag(1/2,1/2)
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     f = q.eahle_field(rho, coupling(1.0, 0.0))
     np.testing.assert_allclose(f.entries, np.diag([0.5, -0.5]), atol=1e-15)
 
@@ -46,7 +46,7 @@ def test_field_diagonal_formula():
     # diagonal states follow d theta_j = 2 c_j theta_j - 2 (sum_k c_k theta_k) theta_j
     theta = np.array([0.5, 0.3, 0.2])
     c = np.array([0.9, -0.4, 0.2])
-    rho = q.make_density(np.diag(theta))
+    rho = q.DensityMatrix(np.diag(theta))
     f = q.eahle_field(rho, q.CouplingSpectrum(c))
     expected = 2 * c * theta - 2 * float(c @ theta) * theta
     np.testing.assert_allclose(np.diag(f.entries).real, expected, atol=1e-15)
@@ -67,7 +67,7 @@ def test_integrate_scalar_coupling_constant():
 
 
 def test_integrate_spot_value():
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     traj = q.eahle_integrate(rho, coupling(1.0, 0.0), np.log(2.0), 1e-3)
     assert traj.times[-1] == np.log(2.0)
     np.testing.assert_allclose(
@@ -92,7 +92,7 @@ def test_integrate_truncation_step():
 
 
 def test_integrate_step_too_large():
-    rho = q.make_density(np.diag([0.999, 0.001]))
+    rho = q.DensityMatrix(np.diag([0.999, 0.001]))
     with pytest.raises(q.StepTooLargeError) as exc:
         q.eahle_integrate(rho, coupling(8.0, -8.0), 3.0, 0.5)
     assert exc.value.time == 0.5
@@ -103,7 +103,7 @@ def test_integrate_step_too_large():
 def test_integrate_precision_floor_is_not_a_step_problem():
     # the exact smallest eigenvalue 1 / (1 + e^{2t}) reaches TOL_PD near
     # t = 13.8 at every step size, so the error must not advise a smaller one
-    rho = q.make_density(np.diag([0.5, 0.5]))
+    rho = q.DensityMatrix(np.diag([0.5, 0.5]))
     times = []
     for dt in (1e-2, 1e-3):
         with pytest.raises(q.StepTooLargeError) as exc:
@@ -118,7 +118,7 @@ def test_integrate_precision_floor_is_not_a_step_problem():
 def _first_error_of_separate_runs(starts, couplings, t_end, dt):
     for start, c in zip(starts, couplings):
         try:
-            q.eahle_integrate(q.make_density(start), coupling(*c), t_end, dt)
+            q.eahle_integrate(q.DensityMatrix(start), coupling(*c), t_end, dt)
         except q.StepTooLargeError as exc:
             return exc
     return None
@@ -138,7 +138,7 @@ def _first_error_of_separate_runs(starts, couplings, t_end, dt):
 )
 def test_batch_step_too_large_matches_separate_runs(starts, couplings):
     expected = _first_error_of_separate_runs(starts, couplings, 3.0, 0.5)
-    rho0 = np.stack([q.make_density(a).entries for a in starts])
+    rho0 = np.stack([q.DensityMatrix(a).entries for a in starts])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(q.StepTooLargeError) as exc:
@@ -209,7 +209,7 @@ def test_batch_failing_in_a_later_block_matches_separate_runs():
     starts = [np.diag([0.6, 0.4]), np.diag([0.5, 0.5]), np.eye(2) / 2]
     couplings = [(0.1, 0.2), (1.0, 0.0), (0.3, -0.3)]
     expected = _first_error_of_separate_runs(starts, couplings, 15.0, 1e-2)
-    rho0 = np.stack([q.make_density(a).entries for a in starts])
+    rho0 = np.stack([q.DensityMatrix(a).entries for a in starts])
     assert round(expected.time / 1e-2) > _BLOCK_BYTES // rho0.nbytes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -222,7 +222,7 @@ def test_batch_failing_in_a_later_block_matches_separate_runs():
 @pytest.mark.parametrize("scale", [1e200, 1e150])
 def test_overflowing_flow_fails_hermiticity_without_warnings(scale):
     # the steps after the first non-finite state, up to its block's end, warn of nothing
-    rho = q.make_density(np.diag([0.4, 0.3, 0.3]))
+    rho = q.DensityMatrix(np.diag([0.4, 0.3, 0.3]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(q.NotHermitianError) as exc:
@@ -296,7 +296,7 @@ def test_integrate_rejects_bad_steps():
 
 def test_diagonal_start_stays_diagonal():
     theta = np.array([0.4, 0.35, 0.25])
-    rho = q.make_density(np.diag(theta))
+    rho = q.DensityMatrix(np.diag(theta))
     traj = q.eahle_integrate(rho, coupling(1.0, -0.5, 0.25), 1.0, 1e-2)
     for state in traj.states:
         off = state.entries - np.diag(np.diag(state.entries))
@@ -422,7 +422,7 @@ def test_closed_form_matches_integrator():
 def test_diagonal_closed_form_matches_integrator():
     theta0 = np.array([0.45, 0.3, 0.25])
     c = coupling(0.8, -0.3, 0.1)
-    traj = q.eahle_integrate(q.make_density(np.diag(theta0)), c, 1.0, 1e-3)
+    traj = q.eahle_integrate(q.DensityMatrix(np.diag(theta0)), c, 1.0, 1e-3)
     point = q.SimplexPoint(theta0)
     worst = max(
         float(
@@ -444,7 +444,7 @@ def test_chart_equivalence_of_flows():
     c = q.CouplingSpectrum(rng.uniform(-1, 1, 3))
     sphere_traj = q.ahle_integrate(w0, c, 1.0, 1e-3)
     theta0, _ = q.sphere_to_simplex(w0)
-    matrix_traj = q.eahle_integrate(q.make_density(np.diag(theta0.values)), c, 1.0, 1e-3)
+    matrix_traj = q.eahle_integrate(q.DensityMatrix(np.diag(theta0.values)), c, 1.0, 1e-3)
     assert np.array_equal(sphere_traj.times, matrix_traj.times)
     worst = max(
         float(np.linalg.norm(ws.values**2 - np.diag(ms.entries).real))
@@ -518,7 +518,7 @@ def test_initial_tangent_matches_field():
 
 def test_initial_tangent_diagonal_sld():
     # at a diagonal start the SLD of the initial tangent is 2C - 2 Tr(C rho) I
-    rho = q.make_density(np.diag([0.5, 0.5]))
+    rho = q.DensityMatrix(np.diag([0.5, 0.5]))
     c = coupling(1.0, 0.0)
     x = q.hebbian_initial_tangent(rho, c)
     np.testing.assert_allclose(x.entries, np.diag([0.5, -0.5]), atol=1e-15)
@@ -588,7 +588,7 @@ def test_fixed_points_iff_scalar_action():
     block = np.zeros((3, 3), dtype=complex)
     block[:2, :2] = q.random_density(2, 3).entries * 0.6
     block[2, 2] = 0.4
-    rho_b = q.make_density(block)
+    rho_b = q.DensityMatrix(block)
     c_b = coupling(1.0, 1.0, -0.5)
     c_mat = np.diag(c_b.values)
     assert frobenius(rho_b.entries @ c_mat - c_mat @ rho_b.entries) <= 1e-15

@@ -35,8 +35,8 @@ def test_transport_diagonal_oracle():
     tr_r2l = sum(half * lj for lj in l)
     expected = [float(half * lj - tr_r2l * half) for lj in l]
 
-    rho1 = q.make_density(np.diag([0.75, 0.25]))
-    rho2 = q.make_density(np.eye(2) / 2)
+    rho1 = q.DensityMatrix(np.diag([0.75, 0.25]))
+    rho2 = q.DensityMatrix(np.eye(2) / 2)
     x = q.TangentVector(np.diag([0.1, -0.1]), rho1)
     moved = q.e_transport(rho1, rho2, x)
     np.testing.assert_allclose(moved.entries, np.diag(expected), atol=1e-14)
@@ -87,7 +87,7 @@ def test_geodesic_zero_tangent_is_constant():
 def test_geodesic_diagonal_spot_value():
     # SLD diag(1,-1) at I/2 gives diag(e^t, e^-t)/(e^t + e^-t); at t = ln 2
     # this is diag(0.8, 0.2), matching e^{2t}/(e^{2t}+1) = 4/5
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     x = q.TangentVector(np.diag([0.5, -0.5]), rho)
     spec = q.GeodesicSpec(rho, x)
     np.testing.assert_allclose(q.sld(rho, x).entries, np.diag([1.0, -1.0]), atol=1e-14)
@@ -142,7 +142,7 @@ def test_autoparallel_zero_tangent():
 
 
 def test_autoparallel_second_order():
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     spec = q.GeodesicSpec(rho, q.TangentVector(np.diag([0.5, -0.5]), rho))
     coarse = q.autoparallel_residual(spec, 0.5, 1e-3)
     fine = q.autoparallel_residual(spec, 0.5, 1e-4)
@@ -233,7 +233,7 @@ def test_geodesic_validity_long_times():
             assert abs(np.trace(rho.entries).real - 1) <= q.TOL_TRACE
     # past the boundary construction fails loudly: from I/2 along diag(5, -5)
     # the smallest eigenvalue at t = 5 is 1 / (1 + e^100), below TOL_PD
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, q.CouplingSpectrum([5.0, -5.0])))
     with pytest.raises(q.NotPositiveDefiniteError):
         q.e_geodesic(spec, 5.0)

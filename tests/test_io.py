@@ -72,7 +72,7 @@ def test_matrix_from_dict_rejects_non_finite_entries():
 
 
 def density_trajectory():
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     return q.eahle_integrate(rho, q.CouplingSpectrum(np.array([1.0, 0.0])), 0.002, 1e-3)
 
 
@@ -155,8 +155,8 @@ def fixed_trajectories():
     meta = q.TrajectoryMeta("rk4", 0.25, (1.0, -0.5))
     times = np.array([0.0, 0.25])
     density = q.Trajectory(times, stack([
-        q.make_density([[2 / 3, 0.1 - 0.2j], [0.1 + 0.2j, 1 / 3]]),
-        q.make_density([[0.5, -1e-17 - 1j / 7], [-1e-17 + 1j / 7, 0.5]]),
+        q.DensityMatrix([[2 / 3, 0.1 - 0.2j], [0.1 + 0.2j, 1 / 3]]),
+        q.DensityMatrix([[0.5, -1e-17 - 1j / 7], [-1e-17 + 1j / 7, 0.5]]),
     ]), meta)
     sphere = q.Trajectory(times, stack([
         q.SphereVector(np.array([0.6, -0.8])),
@@ -287,8 +287,8 @@ def test_writers_spell_special_values_like_json_dumps():
     sphere = [q.SphereVector(np.array(w)) for w in ([-0.0, 1.0], [1.0, -0.0], [5e-324, 1.0])]
     sphere += [q.SphereVector(np.array([0.6, -0.8]))] * (len(SPECIAL) - 3)
     assert_writers_match_references(q.Trajectory(times, stack(sphere), meta))
-    states = [q.make_density(np.diag([0.5, 0.5]) + 1e-310 * np.array([[0, 1], [1, 0]]))]
-    states += [q.make_density(np.diag([0.75, 0.25]))] * (len(SPECIAL) - 1)
+    states = [q.DensityMatrix(np.diag([0.5, 0.5]) + 1e-310 * np.array([[0, 1], [1, 0]]))]
+    states += [q.DensityMatrix(np.diag([0.75, 0.25]))] * (len(SPECIAL) - 1)
     assert_writers_match_references(q.Trajectory(times, stack(states), meta))
     payload = {"values": SPECIAL + [0.0, math.nan, math.inf, -math.inf], "empty": [], "none": {},
                "nested": [[], [1, 2.5, None, True, "\u00e9"], {"k": [-0.0]}], "tuple": (1.5, -0.0)}

@@ -11,46 +11,54 @@ import qssgeo as q
 from qssgeo.qss import _check_states, frobenius, hermitian_deviation, hermitian_part
 
 
-def test_make_density_maximally_mixed():
-    rho = q.make_density(np.eye(3) / 3)
+def test_density_matrix_maximally_mixed():
+    rho = q.DensityMatrix(np.eye(3) / 3)
     assert rho.dim == 3
     np.testing.assert_allclose(np.linalg.eigvalsh(rho.entries), [1 / 3] * 3, atol=1e-15)
 
 
-def test_make_density_diagonal():
-    rho = q.make_density(np.diag([0.75, 0.25]))
+def test_density_matrix_diagonal():
+    rho = q.DensityMatrix(np.diag([0.75, 0.25]))
     np.testing.assert_allclose(rho.entries, np.diag([0.75, 0.25]), atol=1e-15)
 
 
-def test_make_density_rejects_boundary():
+def test_density_matrix_rejects_boundary():
     with pytest.raises(q.NotPositiveDefiniteError) as exc:
-        q.make_density(np.diag([1.0, 0.0]))
+        q.DensityMatrix(np.diag([1.0, 0.0]))
     assert exc.value.min_eigenvalue <= q.TOL_PD
 
 
 @pytest.mark.filterwarnings("error")
-def test_make_density_rejects_non_hermitian():
+def test_density_matrix_rejects_non_hermitian():
     bad = np.array([[0.5, 0.3], [0.0, 0.5]])
     with pytest.raises(q.NotHermitianError) as exc:
-        q.make_density(bad)
+        q.DensityMatrix(bad)
     assert exc.value.deviation == pytest.approx(0.3)
     # NaN fails the Hermitian check at every size, also where LAPACK rejects it
     # (n >= 3); so does an infinite entry, without a RuntimeWarning
     for bad in (np.full((3, 3), np.nan), np.diag([np.inf, 0.3, 0.3])):
         with pytest.raises(q.NotHermitianError):
-            q.make_density(bad)
+            q.DensityMatrix(bad)
 
 
-def test_make_density_rejects_wrong_trace():
+def test_density_matrix_rejects_wrong_trace():
     with pytest.raises(q.NotUnitTraceError) as exc:
-        q.make_density(np.diag([0.9, 0.3]))
+        q.DensityMatrix(np.diag([0.9, 0.3]))
     assert exc.value.deviation == pytest.approx(0.2)
 
 
-def test_make_density_symmetrizes_roundoff():
+def test_density_matrix_rejects_one_by_one():
+    # Q_1 is a single point with no tangent space; random_density refuses n < 2 too
+    for entries in ([[1.0]], np.ones((1, 1), dtype=complex)):
+        with pytest.raises(q.DimensionTooSmallError) as exc:
+            q.DensityMatrix(entries)
+        assert exc.value.n == 1
+
+
+def test_density_matrix_symmetrizes_roundoff():
     a = np.diag([0.6, 0.4]).astype(complex)
     a[0, 1] = 1e-12
-    rho = q.make_density(a)
+    rho = q.DensityMatrix(a)
     assert hermitian_deviation(rho.entries) == 0.0
 
 
@@ -104,6 +112,7 @@ _MATRICES = {
     "non_pd": np.diag([1.2, 0.1, -0.3]),
     "near_boundary": np.diag([0.6, 0.4 - 1e-13, 1e-13]),
     "nan": np.full((3, 3), np.nan),
+    "inf": np.diag([np.inf, 0.3, 0.3]),
 }
 
 
@@ -119,6 +128,7 @@ _MATRICES = {
         ("nan", "valid", "non_pd"),
         ("non_pd", "nan", "wrong_trace", "valid"),
         ("near_boundary", "non_pd", "valid", "valid2"),
+        ("valid", "inf"),
     ],
     ids="-".join,
 )
@@ -198,9 +208,31 @@ def test_eig_rejects_non_hermitian():
             q.eig_hermitian(bad)
 
 
+def test_eig_raises_decomposition_failed_when_eigh_fails(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(q.DecompositionFailedError, match="did not converge") as exc:
+        q.eig_hermitian(np.eye(2) / 2)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_eig_raises_decomposition_failed_on_reconstruction_error(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def off_by_1e_6(a):
+        w, v = eigh(a)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(np.linalg, "eigh", off_by_1e_6)
+    with pytest.raises(q.DecompositionFailedError, match="reconstruction error"):
+        q.eig_hermitian(np.diag([0.75, 0.25]))
+
+
 def test_sld_scalar_state():
     # theta_j + theta_k = 1 for all entries, so L = 2X
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     x = q.TangentVector(np.array([[0.0, 0.2], [0.2, 0.0]]), rho)
     l = q.sld(rho, x)
     np.testing.assert_allclose(l.entries, 2 * x.entries, atol=1e-14)
@@ -211,7 +243,7 @@ def test_sld_diagonal_oracle():
     theta = [Fraction(3, 4), Fraction(1, 4)]
     xval = [Fraction(1, 10), Fraction(-1, 10)]
     expected = [float(x / t) for x, t in zip(xval, theta)]
-    rho = q.make_density(np.diag([float(t) for t in theta]))
+    rho = q.DensityMatrix(np.diag([float(t) for t in theta]))
     x = q.TangentVector(np.diag([float(v) for v in xval]), rho)
     l = q.sld(rho, x)
     np.testing.assert_allclose(l.entries, np.diag(expected), atol=1e-14)
@@ -239,7 +271,7 @@ def test_sld_inverse_zero():
 
 
 def test_sld_inverse_scalar_state():
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     xi = q.SldMatrix(np.array([[0.0, 0.4], [0.4, 0.0]]), rho)
     x = q.sld_inverse(rho, xi)
     np.testing.assert_allclose(x.entries, xi.entries / 2, atol=1e-14)
@@ -269,7 +301,7 @@ def test_sld_inverse_base_mismatch():
 
 def test_fisher_metric_hand_value():
     # eigenbasis sum with all weights 2: 2*(0.01 + 0.01) = 0.04
-    rho = q.make_density(np.eye(2) / 2)
+    rho = q.DensityMatrix(np.eye(2) / 2)
     x = q.TangentVector(np.diag([0.1, -0.1]), rho)
     assert q.fisher_metric(rho, x, x) == pytest.approx(0.04, abs=1e-14)
 
@@ -315,7 +347,7 @@ def test_degenerate_spectrum_closed_form():
     # at rho = I/n all weights equal n, so the SLD is n*X and the metric n*Tr(X^H Y),
     # independent of how the eigenbasis resolves the degeneracy
     for n in (2, 4):
-        rho = q.make_density(np.eye(n) / n)
+        rho = q.DensityMatrix(np.eye(n) / n)
         x = q.random_tangent(rho, n)
         y = q.random_tangent(rho, n + 50)
         l = q.sld(rho, x)

@@ -20,7 +20,7 @@ def test_coincidence_scalar_coupling():
 
 
 def test_coincidence_diagonal_case():
-    rho = q.make_density(np.diag([0.5, 0.5]))
+    rho = q.DensityMatrix(np.diag([0.5, 0.5]))
     report = q.verify_geodesic_coincidence(rho, coupling(1.0, 0.0), 2.0, 1e-3, 1e-6)
     assert report.passed
     # both routes must follow diag(e^{2t}, 1)/(e^{2t} + 1)
@@ -224,7 +224,7 @@ def test_probe_witness_flow_lands_on_geodesic(n):
     spec = q.random_geodesic_spec(n, 2)
     result = q.conjecture_probe(spec)
     u = result.best_unitary
-    start = q.make_density(u.conj().T @ spec.start.entries @ u)
+    start = q.DensityMatrix(u.conj().T @ spec.start.entries @ u)
     gaps = {}
     for scale in (1.0, 2.0):
         c = q.CouplingSpectrum(scale * result.best_coupling.values)
