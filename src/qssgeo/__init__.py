@@ -52,10 +52,8 @@ from .geometry import (
 )
 from .qss import (
     TOL_HERM,
-    TOL_METRIC,
     TOL_PD,
     TOL_RECON,
-    TOL_SLD,
     TOL_TRACE,
     DensityMatrix,
     SldMatrix,

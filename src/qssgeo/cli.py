@@ -5,7 +5,8 @@ Subcommands: ``geodesic``, ``eahle``, ``ahle``, ``closed-form``, ``verify``,
 matrices travel only as JSON files.  ``QSSGEO_SEED`` overrides the ``--seed``
 of ``verify`` and ``probe`` when set.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including unreadable input files, inputs of
-mismatched dimensions and 1 x 1 states), 3 numerical error.
+mismatched dimensions, 1 x 1 states and a dimension repeated in
+``verify --n``, whose case ids would repeat), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def parse_args(argv) -> RunConfig:
         config.coupling is None
     ):
         raise UsageError("geodesic requires exactly one of --x0 or --c")
+    if config.n_values is not None and len(set(config.n_values)) < len(config.n_values):
+        raise UsageError(f"--n must not repeat a dimension, got {','.join(map(str, config.n_values))}")
     return config
 
 

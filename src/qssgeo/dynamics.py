@@ -46,9 +46,9 @@ from .qss import (
     DensityMatrix,
     TangentVector,
     _certify_states,
+    _check_states,
     _exp_weights,
     _freeze,
-    _symmetrize_states,
     _unchecked,
 )
 
@@ -245,13 +245,11 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return steps, times
 
 
-def _normalize_states(y: np.ndarray):
-    # Trace-normalized, symmetrized states and their deviations, for _certify_states.
-    return _symmetrize_states(y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None])
-
-
-def _normalize_vectors(v: np.ndarray):
-    return v / np.linalg.norm(v, axis=-1, keepdims=True), 0.0
+def _certify_block(y: np.ndarray) -> np.ndarray:
+    # Finite RK4 states are exactly Hermitian (see _integrate_batch); others are measured.
+    if np.isfinite(y).all():
+        return _certify_states(y, np.zeros(y.shape[:-2]))
+    return _check_states(y)
 
 
 def _mapped_empty(shape, dtype) -> np.ndarray:
@@ -277,20 +275,22 @@ def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_e
     """Classical RK4 from each of the B initial values ``y0`` under the couplings ``c`` (B, n).
 
     Returns the grid times and all (B, T, ...) states, starting with y0.
-    ``rhs(c)`` is the field.  Each step ends in ``normalize(y)``: the states
-    the next step starts from and the deviations it measured, which
-    ``certify`` checks once per block of at most _BLOCK_BYTES of states.  A
+    ``rhs(c)`` is the field.  Each step ends in ``normalize(y)``, whose
+    states ``certify`` checks once per block of at most _BLOCK_BYTES.  A
     failed block is checked again step by step, and the first failing
     step's error is raised, lost positivity as StepTooLargeError at its
     time.  A failed batch of several cases runs them again one at a time,
     so the error is the one they would raise if run one after another.
+    A matrix ``y0`` is exactly Hermitian: callers pass ``DensityMatrix``
+    entries, made so by ``hermitian_part``.  The matrix field scales entry
+    jk by the real c_j + c_k - 2 Tr(C rho), and rounding is sign-symmetric,
+    so the states stay exactly Hermitian while they are finite.
     """
     steps, times = _step_schedule(t_end, dt)
     out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
     out[:, 0] = y0
     y, field = y0, rhs(c)
     size = max(1, _BLOCK_BYTES // max(1, y0.nbytes))
-    devs = np.empty((len(y0), size))
     try:
         # Overflow is non-finite, which certify reports; later steps of its block are discarded.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -302,10 +302,10 @@ def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_e
                     k2 = field(y + 0.5 * h * k1)
                     k3 = field(y + 0.5 * h * k2)
                     k4 = field(y + h * k3)
-                    y, devs[:, s - lo] = normalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                    y = normalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
                     out[:, s] = y
                 try:
-                    certify(out[:, lo:hi], devs[:, : hi - lo])
+                    certify(out[:, lo:hi])
                     continue
                 except QssError:
                     pass
@@ -313,7 +313,7 @@ def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_e
                 # TOL_PD a block can fail where each of its steps passes.
                 for s in range(lo, hi):
                     try:
-                        certify(out[:, s], devs[:, s - lo])
+                        certify(out[:, s])
                     except NotPositiveDefiniteError as cause:
                         raise StepTooLargeError(float(times[s]), cause.min_eigenvalue) from cause
         return times, out
@@ -330,17 +330,18 @@ def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_e
 def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
     """RK4 of the matrix flow for B cases at once: times and (B, T, n, n) states.
 
-    Every step renormalizes the trace and symmetrizes; one stacked Cholesky
-    factorization then checks each block of steps as density matrices.  Loss
-    of positive-definiteness raises :class:`StepTooLargeError` with its time.
+    Every step renormalizes the trace; the states, exactly Hermitian while
+    finite, are checked a block at a time by one stacked Cholesky.  Loss of
+    positive-definiteness raises :class:`StepTooLargeError` with its time.
     """
-    return _integrate_batch(_eahle_rhs, _normalize_states, _certify_states, rho0, c, t_end, dt)
+    normalize = lambda y: y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None]
+    return _integrate_batch(_eahle_rhs, normalize, _certify_block, rho0, c, t_end, dt)
 
 
 def _ahle_integrate_batch(w0: np.ndarray, c: np.ndarray, t_end: float, dt: float):
     """RK4 of the sphere rule for B cases at once: times and (B, T, n) unit vectors, checked per block."""
-    certify = lambda v, _: _check_vectors(v)  # the deviations are placeholders
-    return _integrate_batch(_ahle_rhs, _normalize_vectors, certify, w0, c, t_end, dt)
+    normalize = lambda w: w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return _integrate_batch(_ahle_rhs, normalize, _check_vectors, w0, c, t_end, dt)
 
 
 def eahle_integrate(
@@ -348,10 +349,10 @@ def eahle_integrate(
 ) -> Trajectory:
     """Integrate the matrix flow with classical RK4 from ``rho0`` to ``t_end``.
 
-    After every step the state is re-symmetrized and its trace renormalized
-    to 1; a final shortened step lands exactly on ``t_end`` when t_end / dt
-    is not integral.  States are stored at every step, validated as density
-    matrices a block of steps at a time; loss of positive-definiteness
+    After every step the trace is renormalized to 1; the states stay exactly
+    Hermitian while finite, with nothing symmetrizing them.  A final shortened
+    step lands exactly on ``t_end`` when t_end / dt is not integral.  Each
+    block of stored steps is validated at once; loss of positive-definiteness
     raises :class:`StepTooLargeError` with the first offending time.
     """
     _check_dims(rho0, coupling, "state")

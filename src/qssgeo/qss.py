@@ -46,8 +46,6 @@ TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PD = 1e-12
 TOL_RECON = 1e-9
-TOL_SLD = 1e-9
-TOL_METRIC = 1e-9
 # Byte cap on the states of one block of times or RK4 steps (n = 64: four
 # states).  A block's temporaries are a few arrays of this size, so a curve
 # consumed block by block holds memory that does not grow with its length.
@@ -120,18 +118,12 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _symmetrize_states(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian part and each matrix's max |A - A^H|, for a matrix or (..., n, n) stack."""
-    with np.errstate(invalid="ignore"):
-        herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        return hermitian_part(a), herm_dev
-
-
 def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
-    """Return the symmetrized stack ``h`` if every matrix is a state; else raise for the first.
+    """Return the Hermitian stack ``h`` if every matrix is a state; else raise for the first.
 
-    ``herm_dev`` is what :func:`_symmetrize_states` measured; the error is
-    :class:`DensityMatrix`'s for the first failing matrix in C order.
+    ``herm_dev`` is each matrix's max |A - A^H|: 0 for finite RK4 states,
+    which are exactly Hermitian, else measured by :func:`_check_states`.
+    The error is :class:`DensityMatrix`'s for the first failing one in C order.
 
     Positivity is certified by one stacked Cholesky factorization of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
@@ -166,9 +158,11 @@ def _check_states(a: np.ndarray) -> np.ndarray:
     """Check the three state invariants on a matrix or every matrix of a (..., n, n) stack.
 
     Returns the symmetrized stack or raises as :func:`_certify_states` does.
-    The RK4 integrators call the two halves apart, the second once per block.
     """
-    return _certify_states(*_symmetrize_states(a))
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        h = hermitian_part(a)
+    return _certify_states(h, herm_dev)
 
 
 @dataclass(frozen=True, eq=False)

@@ -238,6 +238,7 @@ def _env_with_package():
         ["closed-form", "--w0", "0.6,0.8", "--c", "1,0", "--t", "nan"],
         ["verify", "--n", "2", "--tol", "nan"],
         ["probe", "--n", "2", "--restarts", "0"],
+        ["verify", "--n", "2,3,2"],
     ],
 )
 def test_bad_number_is_usage_error(argv):

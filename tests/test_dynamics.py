@@ -16,7 +16,7 @@ from qssgeo.dynamics import (
     _step_schedule,
 )
 from qssgeo.geometry import _BLOCK_BYTES, _geodesic_curves
-from qssgeo.qss import _check_states, frobenius, hermitian_deviation
+from qssgeo.qss import _check_states, frobenius, hermitian_deviation, hermitian_part
 
 
 def coupling(*values):
@@ -81,6 +81,15 @@ def test_integrate_states_stay_valid():
     for state in traj.states:
         assert abs(np.trace(state.entries).real - 1) <= 1e-12
         assert hermitian_deviation(state.entries) == 0.0
+    # nothing symmetrizes the RK4 states: finite ones stay exactly Hermitian,
+    # so symmetrizing them would change no bit, sign bits included
+    for n in (2, 3, 8, 16):
+        for batch in (1, 5):
+            rng = np.random.default_rng(10 * n + batch)
+            rho0 = np.stack([q.random_density(n, int(s)).entries for s in rng.integers(0, 2**31, batch)])
+            c = rng.uniform(-1.0, 1.0, (batch, n))
+            _, states = _eahle_integrate_batch(rho0, c, *_grid_past_one_block(rho0))
+            assert np.array_equal(hermitian_part(states).view(np.uint64), states.view(np.uint64))
 
 
 def test_integrate_truncation_step():
