@@ -60,12 +60,14 @@ _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
 
 
 def _check_vectors(v: np.ndarray) -> np.ndarray:
-    """Return the (..., n) stack ``v``; its first non-unit vector raises InvalidValueError."""
+    """Return the (..., n) stack ``v``; its first non-unit vector raises InvalidValueError at ``position``."""
     with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
         norm_dev = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
     bad = ~(norm_dev <= TOL_SPHERE)  # a non-finite vector has a NaN or infinite norm
     if bad.any():
-        raise InvalidValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[bad][0]:.6e}")
+        error = InvalidValueError(f"vector is not unit norm: | ||w|| - 1 | = {norm_dev[bad][0]:.6e}")
+        error.position = np.unravel_index(np.argmax(bad), bad.shape)
+        raise error
     return v
 
 
@@ -216,7 +218,8 @@ def eahle_field(rho: DensityMatrix, coupling: CouplingSpectrum) -> TangentVector
     it in that role.
     """
     _check_dims(rho, coupling, "state")
-    return TangentVector(_eahle_rhs(coupling.values)(rho.entries), rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field fails TangentVector
+        return TangentVector(_eahle_rhs(coupling.values)(rho.entries), rho)
 
 
 hebbian_initial_tangent = eahle_field
@@ -277,54 +280,46 @@ def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_e
     Returns the grid times and all (B, T, ...) states, starting with y0.
     ``rhs(c)`` is the field.  Each step ends in ``normalize(y)``, whose
     states ``certify`` checks once per block of at most _BLOCK_BYTES.  A
-    failed block is checked again step by step, and the first failing
-    step's error is raised, lost positivity as StepTooLargeError at its
-    time.  A failed batch of several cases runs them again one at a time,
-    so the error is the one they would raise if run one after another.
-    A matrix ``y0`` is exactly Hermitian: callers pass ``DensityMatrix``
-    entries, made so by ``hermitian_part``.  The matrix field scales entry
-    jk by the real c_j + c_k - 2 Tr(C rho), and rounding is sign-symmetric,
-    so the states stay exactly Hermitian while they are finite.
+    failed check's ``position`` is its block's lowest failing case k, at its
+    first failing step.  Its error, lost positivity as StepTooLargeError at
+    that time, is raised after the loop, and cases k on stop there: a case's
+    states do not depend on its batch, so the error is the one the cases
+    would raise if run one after another.  A matrix ``y0`` is exactly
+    Hermitian, as ``DensityMatrix`` entries are.  The matrix field scales
+    entry jk by the real c_j + c_k - 2 Tr(C rho), and rounding is
+    sign-symmetric, so the states stay exactly Hermitian while finite.
     """
     steps, times = _step_schedule(t_end, dt)
     out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
     out[:, 0] = y0
-    y, field = y0, rhs(c)
+    y, k, error = y0, len(y0), None
     size = max(1, _BLOCK_BYTES // max(1, y0.nbytes))
-    try:
-        # Overflow is non-finite, which certify reports; later steps of its block are discarded.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo in range(1, len(times), size):
-                hi = min(lo + size, len(times))
-                for s in range(lo, hi):
-                    h = steps[s - 1]
-                    k1 = field(y)
-                    k2 = field(y + 0.5 * h * k1)
-                    k3 = field(y + 0.5 * h * k2)
-                    k4 = field(y + h * k3)
-                    y = normalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                    out[:, s] = y
-                try:
-                    certify(out[:, lo:hi])
-                    continue
-                except QssError:
-                    pass
-                # The first step that fails alone raises; within roundoff of
-                # TOL_PD a block can fail where each of its steps passes.
-                for s in range(lo, hi):
-                    try:
-                        certify(out[:, s])
-                    except NotPositiveDefiniteError as cause:
-                        raise StepTooLargeError(float(times[s]), cause.min_eigenvalue) from cause
-        return times, out
-    except QssError:
-        if len(y0) == 1:
-            raise
-    # Each case runs bit for bit as in the batch, so the first that fails
-    # alone raises; out here, its error does not chain the batch's.
-    for k in range(len(y0)):
-        _integrate_batch(rhs, normalize, certify, y0[k : k + 1], c[k : k + 1], t_end, dt)
-    raise AssertionError("a failed batch ran clean one case at a time")
+    # Overflow is non-finite, which certify reports; later steps of its block are discarded.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        field = rhs(c)
+        for lo in range(1, len(times), size):
+            hi = min(lo + size, len(times))
+            for s in range(lo, hi):
+                h = steps[s - 1]
+                k1 = field(y)
+                k2 = field(y + 0.5 * h * k1)
+                k3 = field(y + 0.5 * h * k2)
+                k4 = field(y + h * k3)
+                y = normalize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                out[:k, s] = y
+            try:
+                certify(out[:k, lo:hi])
+            except QssError as exc:
+                (k, step), error = exc.position, exc
+                if isinstance(exc, NotPositiveDefiniteError):
+                    error = StepTooLargeError(float(times[lo + step]), exc.min_eigenvalue)
+                    error.__cause__ = exc
+                if k == 0:
+                    break
+                y, field = y[:k], rhs(c[:k])
+    if error is not None:
+        raise error
+    return times, out
 
 
 def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: float):

@@ -1,7 +1,10 @@
 """Exception hierarchy for qssgeo.
 
 Validation errors carry the measured violation so callers can report how far
-an input was from satisfying the contract.
+an input was from satisfying the contract.  An error from checking a stack of
+states or unit vectors also carries ``position``: the index, in C order, of
+the first one that failed, as ``np.unravel_index`` gives it; ``()`` when a
+single state or vector was checked.
 """
 
 from __future__ import annotations

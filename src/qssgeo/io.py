@@ -67,6 +67,9 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         raise ParseError(
             f"matrix shape mismatch: declared n={n}, got re {re.shape}, im {im.shape}"
         )
+    # float() also reads "0.5" and true; the rows are now n lists of n entries
+    if not {type(x) for rows in (d["re"], d["im"]) for row in rows for x in row} <= {int, float}:
+        raise ParseError("matrix entries must be JSON numbers")
     return re + 1j * im
 
 

@@ -121,9 +121,9 @@ def _unchecked(cls, **fields):
 def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
     """Return the Hermitian stack ``h`` if every matrix is a state; else raise for the first.
 
-    ``herm_dev`` is each matrix's max |A - A^H|: 0 for finite RK4 states,
-    which are exactly Hermitian, else measured by :func:`_check_states`.
-    The error is :class:`DensityMatrix`'s for the first failing one in C order.
+    ``herm_dev`` is each matrix's max |A - A^H|: 0 for finite RK4 states, which
+    are exactly Hermitian, else measured by :func:`_check_states`.  The error is
+    :class:`DensityMatrix`'s for the first failing one in C order, with its ``position``.
 
     Positivity is certified by one stacked Cholesky factorization of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
@@ -148,10 +148,13 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
         return h
     i = np.unravel_index(np.argmin(ok), ok.shape)
     if not herm_dev[i] <= TOL_HERM:
-        raise NotHermitianError(float(herm_dev[i]))
-    if not trace_dev[i] <= TOL_TRACE:
-        raise NotUnitTraceError(float(trace_dev[i]))
-    raise NotPositiveDefiniteError(float(smallest[i]))
+        error = NotHermitianError(float(herm_dev[i]))
+    elif not trace_dev[i] <= TOL_TRACE:
+        error = NotUnitTraceError(float(trace_dev[i]))
+    else:
+        error = NotPositiveDefiniteError(float(smallest[i]))
+    error.position = i
+    raise error
 
 
 def _check_states(a: np.ndarray) -> np.ndarray:

@@ -396,6 +396,13 @@ def _write_inputs(path):
                             ("string_n", '"2"', "[[0.5, 0], [0, 0.5]]", "[[0, 0], [0, 0]]"),
                             ("bool_n", "true", "[[1]]", "[[0]]")):
         (path / f"{name}.json").write_text(f'{{"n": {n}, "re": {re}, "im": {im}}}')
+    # entries that float() read as numbers: strings, and bools mixed with integers
+    (path / "string_entries.json").write_text(
+        '{"n": 2, "re": [["0.5", "0"], ["0", "0.5"]], "im": [[0, 0], [0, 0]]}'
+    )
+    (path / "bool_entries.json").write_text(
+        '{"n": 2, "re": [[true, false], [false, 0]], "im": [[0, 0], [0, 0]]}'
+    )
     (path / "dir").mkdir(exist_ok=True)
 
 
@@ -436,6 +443,8 @@ _OUT_DIR_ARGV = [
         ["eahle", "--rho0", "float_n.json", "--c", "1,0"],
         ["eahle", "--rho0", "string_n.json", "--c", "1,0"],
         ["eahle", "--rho0", "bool_n.json", "--c", "1,0"],
+        ["eahle", "--rho0", "string_entries.json", "--c", "1,0"],
+        ["eahle", "--rho0", "bool_entries.json", "--c", "1,0"],
     ],
 )
 def test_unreadable_path_is_usage_error(argv, tmp_path):
@@ -453,6 +462,9 @@ def test_unreadable_path_is_usage_error(argv, tmp_path):
         ["eahle", "--rho0", "rho3.json", "--c=1e200,0,0", "--t-end", "0.01", "--dt", "0.01"],
         # the exact geodesic leaves the state space: smallest eigenvalue 3.7e-44 at t = 5
         ["geodesic", "--rho0", "rho.json", "--c", "5,-5", "--t-end", "5", "--dt", "0.1"],
+        # c_1 + c_1 overflows in the field itself, so 0 * inf makes it NaN
+        ["eahle", "--rho0", "rho.json", "--c=1e308,0", "--t-end", "0.01", "--dt", "0.01"],
+        ["geodesic", "--rho0", "rho.json", "--c=1e308,0", "--t-end", "0.01", "--dt", "0.01"],
     ],
 )
 def test_overflowing_flow_is_numerical_error(argv, tmp_path):

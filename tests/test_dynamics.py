@@ -228,6 +228,62 @@ def test_batch_failing_in_a_later_block_matches_separate_runs():
     assert got == (expected.time, expected.min_eigenvalue, str(expected))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_batch_cases_equal_their_runs_in_smaller_batches(n):
+    # a case's states do not depend on the batch it runs in, bit for bit, so
+    # a failed batch can stop its later cases and keep its earlier ones
+    rng = np.random.default_rng(n)
+    rho0 = np.stack([q.random_density(n, int(s)).entries for s in rng.integers(0, 2**31, 5)])
+    c = rng.uniform(-1.0, 1.0, (5, n))
+    w0 = rng.normal(size=(5, n))
+    w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
+    for kernel, y0 in ((_eahle_integrate_batch, rho0), (_ahle_integrate_batch, w0)):
+        _, states = kernel(y0, c, 0.05, 1e-3)
+        for k in range(5):
+            _, alone = kernel(y0[k : k + 1], c[k : k + 1], 0.05, 1e-3)
+            assert np.array_equal(alone[0], states[k])
+        _, first = kernel(y0[:3], c[:3], 0.05, 1e-3)
+        assert np.array_equal(first, states[:3])
+
+
+def test_states_that_cholesky_rejects_are_accepted_by_eigvalsh(monkeypatch):
+    # Cholesky rejecting a stack of states decides nothing: eigvalsh decides
+    # for each matrix alone, so the states and the flow stay as they are
+    rho, c = q.random_density(4, 5), coupling(1.0, 0.3, -0.2, -1.0)
+    expected = q.eahle_integrate(rho, c, 0.5, 1e-2).array
+    stack = np.stack([q.random_density(3, seed).entries for seed in range(6)]).reshape(2, 3, 3, 3)
+
+    def reject(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", reject)
+    assert np.array_equal(_check_states(stack), stack)
+    assert np.array_equal(q.eahle_integrate(rho, c, 0.5, 1e-2).array, expected)
+
+
+def test_field_of_an_overflowing_coupling_fails_hermiticity():
+    # c_j + c_k overflows to inf and 0 * inf is NaN: the check reports it, and numpy warns of nothing
+    rho = q.DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(q.NotHermitianError) as exc:
+        q.eahle_field(rho, coupling(1e308, 0.0))
+    assert str(exc.value) == "matrix is not Hermitian: max |A - A^H| = nan"
+
+
+def test_batch_whose_later_case_fails_first_raises_the_earlier_case():
+    # case 2 leaves the state space near t = 6.9, in the first block of steps,
+    # case 0 near t = 13.8, in the second: run one after another, case 0 raises
+    starts = [np.diag([0.5, 0.5]), np.diag([0.6, 0.4]), np.diag([0.5, 0.5])]
+    couplings = [(1.0, 0.0), (0.1, 0.2), (2.0, 0.0)]
+    expected = _first_error_of_separate_runs(starts, couplings, 15.0, 1e-2)
+    later = _first_error_of_separate_runs(starts[2:], couplings[2:], 15.0, 1e-2)
+    rho0 = np.stack([q.DensityMatrix(a).entries for a in starts])
+    assert round(later.time / 1e-2) < _BLOCK_BYTES // rho0.nbytes < round(expected.time / 1e-2)
+    with pytest.raises(q.StepTooLargeError) as exc:
+        _eahle_integrate_batch(rho0, np.array(couplings), 15.0, 1e-2)
+    got = (exc.value.time, exc.value.min_eigenvalue, str(exc.value))
+    assert got == (expected.time, expected.min_eigenvalue, str(expected))
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e150])
 def test_overflowing_flow_fails_hermiticity_without_warnings(scale):
     # the steps after the first non-finite state, up to its block's end, warn of nothing

@@ -69,11 +69,22 @@ def test_matrix_from_dict_rejects_non_finite_entries():
     for d in ({"n": 2.7} | half, {"n": "2"} | half, {"n": True, "re": [[1]], "im": [[0]]}):
         with pytest.raises(q.ParseError, match="integer"):
             io.matrix_from_json_dict(d)
+    # entries that float() reads but that are not JSON numbers: strings and bools
+    zero, half = "[[0, 0], [0, 0]]", "[[0.5, 0], [0, 0.5]]"
+    for re, im in (('[["0.5", "0"], ["0", "0.5"]]', zero), ("[[true, false], [false, 0]]", zero),
+                   ('[[0.5, 0], [0, "0.5"]]', zero), (half, "[[0, 0], [false, 0]]")):
+        with pytest.raises(q.ParseError, match="JSON numbers"):
+            io.matrix_from_json_dict(json.loads(f'{{"n": 2, "re": {re}, "im": {im}}}'))
 
 
 def density_trajectory():
     rho = q.DensityMatrix(np.eye(2) / 2)
     return q.eahle_integrate(rho, q.CouplingSpectrum(np.array([1.0, 0.0])), 0.002, 1e-3)
+
+
+def test_trajectory_chunks_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        io.trajectory_chunks(density_trajectory(), "xml")
 
 
 def test_density_csv_layout():

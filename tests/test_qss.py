@@ -139,19 +139,22 @@ _MATRICES = {
 )
 def test_check_states_stack_fails_as_first_matrix(names):
     # a stack raises what checking its matrices one at a time in order raises
+    # and names that matrix's index in the stack as its position
     matrices = [_MATRICES[name] for name in names]
-    for m in matrices:
+    for first, m in enumerate(matrices):
         try:
             _check_states(m)
         except q.QssError as exc:
             expected = exc
             break
+    assert expected.position == ()
     a = np.stack(matrices)
     for stack in (a, a.reshape(2, -1, 3, 3)) if len(a) % 2 == 0 else (a,):
         with pytest.raises(q.QssError) as exc:
             _check_states(stack)
         assert type(exc.value) is type(expected)
-        assert repr(vars(exc.value)) == repr(vars(expected))
+        assert exc.value.position == np.unravel_index(first, stack.shape[:-2])
+        assert repr(vars(exc.value) | {"position": ()}) == repr(vars(expected))
 
 
 def test_random_density_deterministic():

@@ -123,6 +123,7 @@ def test_run_suite_matches_case_by_case():
 
 def test_run_suite_empty():
     assert q.run_suite([], 5, seed=1) == []
+    assert q.run_suite([2], 0, seed=1) == []
 
 
 def test_run_suite_small_multi_n():
