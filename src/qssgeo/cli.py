@@ -12,6 +12,7 @@ mismatched dimensions, 1 x 1 states and a dimension repeated in
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -252,7 +253,7 @@ def _cmd_probe(config: RunConfig) -> int:
     result = conjecture_probe(spec)
     payload = io.probe_result_to_dict(result)
     payload["seed"] = config.seed
-    _write_text(config.output_path, [io.to_json(payload) + "\n"])
+    _write_text(config.output_path, [json.dumps(payload) + "\n"])
     print(f"probe best residual = {result.residual:.6e}")
     return 0
 

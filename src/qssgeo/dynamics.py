@@ -251,7 +251,7 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
 def _certify_block(y: np.ndarray) -> np.ndarray:
     # Finite RK4 states are exactly Hermitian (see _integrate_batch); others are measured.
     if np.isfinite(y).all():
-        return _certify_states(y, np.zeros(y.shape[:-2]))
+        return _certify_states(y, 0.0)
     return _check_states(y)
 
 

@@ -53,13 +53,17 @@ _BLOCK_BYTES = 1 << 18
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^H) / 2, for a matrix or for each matrix of a stack."""
+    """Return (A + A^H) / 2, for a matrix or for each matrix of a stack.
+
+    Not finite where A + A^H overflows; the checks that take outside input
+    call it under ``errstate``, so they report that instead of warning.
+    """
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_deviation(a: np.ndarray) -> float:
-    """Return max |A - A^H|, the distance from being Hermitian; not finite for non-finite A."""
-    with np.errstate(invalid="ignore"):
+    """Return max |A - A^H|, the distance from being Hermitian; not finite for non-finite A or where A - A^H overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
 
 
@@ -93,7 +97,8 @@ def _negligible(deviation: float, tol: float, a: np.ndarray) -> bool:
 
 def _check_traceless(x: np.ndarray, data: np.ndarray) -> None:
     """Raise NotTracelessError unless Tr x is negligible at the scale of ``data``, which ``x`` came from."""
-    trace_dev = abs(float(np.trace(x).real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace_dev = abs(float(np.trace(x).real))
     if not _negligible(trace_dev, TOL_TRACE, data):
         raise NotTracelessError(trace_dev)
 
@@ -103,7 +108,8 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     dev = hermitian_deviation(a)
     if not _negligible(dev, TOL_HERM, a):
         raise NotHermitianError(dev)
-    return hermitian_part(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum fails the caller's checks
+        return hermitian_part(a)
 
 
 def _unchecked(cls, **fields):
@@ -118,12 +124,18 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
+def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float) -> np.ndarray:
     """Return the Hermitian stack ``h`` if every matrix is a state; else raise for the first.
 
-    ``herm_dev`` is each matrix's max |A - A^H|: 0 for finite RK4 states, which
-    are exactly Hermitian, else measured by :func:`_check_states`.  The error is
-    :class:`DensityMatrix`'s for the first failing one in C order, with its ``position``.
+    ``herm_dev`` is each matrix's max |A - A^H|: the scalar 0 for finite RK4
+    states, which are exactly Hermitian, else measured by :func:`_check_states`.
+    The error is :class:`DensityMatrix`'s for the first failing one in C order,
+    with its ``position``.
+
+    The passing case reduces the deviations to their extremes; |t - 1| is
+    largest at the smallest or largest trace t.  It forms no per-matrix
+    array, since numpy keeps small buffers for the life of the process, and
+    a caller holding a large allocation then finds its freed heap pinned.
 
     Positivity is certified by one stacked Cholesky factorization of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
@@ -133,14 +145,17 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray) -> np.ndarray:
     failing matrix, reports its smallest eigenvalue, and accepts a stack that
     Cholesky rejected within that roundoff band.
     """
-    trace_dev = np.abs(np.trace(h, axis1=-2, axis2=-1).real - 1.0)
-    fine = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE)
-    if fine.all():
+    traces = np.trace(h, axis1=-2, axis2=-1).real
+    worst_trace = max(abs(np.min(traces) - 1.0), abs(np.max(traces) - 1.0))
+    if np.max(herm_dev) <= TOL_HERM and worst_trace <= TOL_TRACE:
         try:
             np.linalg.cholesky(h - TOL_PD * np.eye(h.shape[-1]))
             return h
         except np.linalg.LinAlgError:
             pass
+    herm_dev = np.broadcast_to(herm_dev, np.shape(traces))
+    trace_dev = np.abs(traces - 1.0)
+    fine = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE)
     smallest = np.zeros(fine.shape)
     smallest[fine] = np.linalg.eigvalsh(h[fine])[..., 0]
     ok = fine & (smallest > TOL_PD)
@@ -162,7 +177,7 @@ def _check_states(a: np.ndarray) -> np.ndarray:
 
     Returns the symmetrized stack or raises as :func:`_certify_states` does.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         h = hermitian_part(a)
     return _certify_states(h, herm_dev)
@@ -319,8 +334,9 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     # eigh returns ascending order; flip to descending.
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])
-    recon_err = frobenius((v * w) @ v.conj().T - a)
-    if recon_err > TOL_RECON * max(1.0, frobenius(a)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon_err, scale = frobenius((v * w) @ v.conj().T - a), frobenius(a)
+    if not recon_err <= TOL_RECON * max(1.0, scale):
         raise DecompositionFailedError(
             f"eigendecomposition reconstruction error {recon_err:.6e} exceeds tolerance"
         )

@@ -385,6 +385,8 @@ def _write_inputs(path):
     io.save_matrix(str(path / "rho1.json"), np.eye(1))
     io.save_matrix(str(path / "x.json"), np.diag([0.1, -0.1]))
     io.save_matrix(str(path / "x3.json"), np.diag([0.1, -0.1, 0.0]))
+    io.save_matrix(str(path / "rho_huge.json"), np.diag([1e308, 1e308]))
+    io.save_matrix(str(path / "x_huge.json"), np.diag([1e308, -1e308]))
     (path / "latin1.json").write_bytes(b'{"n": 2, "note": "\xe9"}')
     (path / "huge_n.json").write_text('{"n": 1e400, "re": [[1]], "im": [[0]]}')
     (path / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
@@ -465,6 +467,11 @@ def test_unreadable_path_is_usage_error(argv, tmp_path):
         # c_1 + c_1 overflows in the field itself, so 0 * inf makes it NaN
         ["eahle", "--rho0", "rho.json", "--c=1e308,0", "--t-end", "0.01", "--dt", "0.01"],
         ["geodesic", "--rho0", "rho.json", "--c=1e308,0", "--t-end", "0.01", "--dt", "0.01"],
+        # A + A^H overflows in the state check, the tangent check and, for the
+        # 1e200 tangent, the norms of eig_hermitian's reconstruction check
+        ["eahle", "--rho0", "rho_huge.json", "--c", "1,0", "--t-end", "0.01", "--dt", "0.01"],
+        ["geodesic", "--rho0", "rho.json", "--c=1e200,0", "--t-end", "0.01", "--dt", "0.01"],
+        ["geodesic", "--rho0", "rho.json", "--x0", "x_huge.json", "--t-end", "0.01", "--dt", "0.01"],
     ],
 )
 def test_overflowing_flow_is_numerical_error(argv, tmp_path):
@@ -472,6 +479,22 @@ def test_overflowing_flow_is_numerical_error(argv, tmp_path):
     # the state check reports it as one line, with no RuntimeWarning before it
     _write_inputs(tmp_path)
     _assert_one_line_exit(_run_cli(argv, tmp_path), 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--w0=-0.6,0.8", "--c=-1,0.5", "--t=-1e3"],
+        ["eahle", "--rho0", "rho.json", "--c=-1,0.5", "--t-end", "0.01", "--dt", "0.005"],
+    ],
+)
+def test_values_with_a_leading_minus_take_the_equals_form(argv, tmp_path):
+    # argparse reads "--t -1e3" as a flag without its value; "--t=-1e3" passes it
+    _write_inputs(tmp_path)
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    spaced = [part for arg in argv for part in arg.split("=", 1)]
+    _assert_one_line_exit(_run_cli(spaced, tmp_path), 2)
 
 
 @pytest.mark.parametrize(

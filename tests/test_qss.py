@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qssgeo as q
-from qssgeo.qss import _check_states, frobenius, hermitian_deviation, hermitian_part
+from qssgeo.qss import _certify_states, _check_states, frobenius, hermitian_deviation, hermitian_part
 
 # Agreement of the SLD round trips and of the three metric formulas, relative
 # to the Frobenius scale of the objects compared.
@@ -155,6 +155,34 @@ def test_check_states_stack_fails_as_first_matrix(names):
         assert type(exc.value) is type(expected)
         assert exc.value.position == np.unravel_index(first, stack.shape[:-2])
         assert repr(vars(exc.value) | {"position": ()}) == repr(vars(expected))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("valid", "valid2"),
+        ("valid", "valid2", "non_pd"),
+        ("valid", "near_boundary", "valid2"),
+        ("valid", "wrong_trace", "non_pd"),
+        ("non_pd", "wrong_trace"),
+    ],
+    ids="-".join,
+)
+def test_certify_states_with_zero_deviation_matches_check_states(names):
+    # RK4 blocks are exactly Hermitian and pass the scalar 0 as every deviation
+    a = np.stack([_MATRICES[name] for name in names])
+    try:
+        expected = _check_states(a)
+    except q.QssError as exc:
+        expected = exc
+    if isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(_certify_states(a, 0.0), expected)
+        return
+    with pytest.raises(q.QssError) as exc:
+        _certify_states(a, 0.0)
+    assert type(exc.value) is type(expected)
+    assert repr(vars(exc.value)) == repr(vars(expected))
 
 
 def test_random_density_deterministic():
@@ -468,6 +496,24 @@ def test_attached_checks_scale_with_the_data(n, log_scale, log_smallest, seed):
     smallest = np.linalg.eigvalsh(rho.entries)[0]
     eps = np.finfo(float).eps
     assert frobenius(back.entries - x.entries) <= 4 * n * eps * frobenius(x.entries) / smallest
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_whose_hermitian_part_overflows_raise_one_qss_error():
+    # A + A^H overflows above about 9e307 even where A is Hermitian and traceless;
+    # each check then reports the non-finite result, and no RuntimeWarning shows
+    with pytest.raises(q.NotUnitTraceError):
+        q.DensityMatrix(np.diag([1e308, 1e308]))
+    with pytest.raises(q.QssError):
+        q.TangentVector(np.diag([1e308, -1e308, 0]), q.random_density(3, 1))
+    with pytest.raises(q.DecompositionFailedError):
+        q.eig_hermitian(np.diag([1e308, 1e308]))
+    # A - A^H overflows the same way for an anti-Hermitian A: an infinite deviation
+    anti = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(q.NotHermitianError):
+        q.eig_hermitian(anti)
+    with pytest.raises(q.NotHermitianError):
+        q.DensityMatrix(anti + np.eye(2) / 2)
 
 
 @pytest.mark.filterwarnings("error")
