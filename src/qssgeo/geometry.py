@@ -25,9 +25,11 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidStepError
 from .qss import (
     _BLOCK_BYTES,
+    TOL_PD,
     DensityMatrix,
     SldMatrix,
     TangentVector,
+    _certify_states,
     _check_states,
     _check_traceless,
     _exp_weights,
@@ -63,14 +65,19 @@ class GeodesicSpec:
 
     @cached_property
     def _frame(self):
-        """Half the SLD's eigenvalues, its eigenbasis V and V^H, and V^H rho0 V.
+        """Half the SLD's eigenvalues, its eigenbasis V and V^H, S = V^H rho0 V, and a gather index.
 
-        What :func:`_geodesic_blocks` evaluates the curve from, computed
-        once per spec.
+        What :func:`_geodesic_blocks` evaluates the curve from, computed once
+        per spec.  For V[a, inv_a] = 1 a permutation and S free of sign bits,
+        m holds no -0 and the matmuls give (V m V^H)[a, b] = m[inv_a, inv_b]
+        exactly: the index is the flat inv_a n + inv_b, else None.
         """
         lam, v = eig_hermitian(sld(self.start, self.initial_tangent).entries)
         v_h = np.ascontiguousarray(v.conj().T)
-        return 0.5 * lam, v, v_h, v_h @ self.start.entries @ v
+        start_hat = v_h @ self.start.entries @ v
+        inv = np.argmax(v.real, axis=1) if np.count_nonzero(v) == self.dim else None  # n, as in a permutation
+        exact = inv is not None and np.array_equal(v, np.eye(len(v))[inv]) and not np.signbit(start_hat.view(float)).any()
+        return 0.5 * lam, v, v_h, start_hat, (inv[:, None] * self.dim + inv).ravel() if exact else None
 
 
 def e_transport(rho1: DensityMatrix, rho2: DensityMatrix, x: TangentVector) -> TangentVector:
@@ -104,13 +111,24 @@ def _geodesic_blocks(specs, times):
     """Evaluate the geodesics of ``specs`` (one dimension) at ``times``, in time blocks.
 
     With each spec's frame, rates r (half the SLD's eigenvalues), eigenbasis
-    V and S = V^H rho0 V, the state is V (S o w w^T) V^H / Tr(S o w w^T),
-    w = exp(t r): exp(tL/2) rho0 exp(tL/2), trace-normalized.  Yields
-    ``(slice of times, (B, t, n, n) states)``, every state validated as a
-    density matrix; a block holds at most _BLOCK_BYTES of states.
+    V and S = V^H rho0 V, the state is V m V^H, m = D S D / Tr with D =
+    diag(w), w = exp(t r): exp(tL/2) rho0 exp(tL/2), trace-normalized.
+    Yields ``(slice of times, (B, t, n, n) states)``, every state validated
+    as a density matrix; a block holds at most _BLOCK_BYTES of states.
+
+    By Ostrowski (Horn & Johnson, Matrix Analysis, Thm 4.5.9) lambda_min(m) >=
+    lambda_min(rho0) min_j w_j^2 / Tr <= 1; lambda_min(rho0) is half the least
+    diagonal entry of rho0's theta_j + theta_k.  By Weyl (Thm 4.3.1) roundoff,
+    u = eps / 2 (Higham, Sec. 3.5), moves it by at most n u in eigh and in
+    eigvalsh, 2 n^1.5 u in each of S and V m V^H (products with a factor of
+    Frobenius norm sqrt n), (n + 3) u in m and O(n u) from V^H V - I: below
+    64 n eps to n = 900 (measured: 3.04 eps).  Blocks whose bounds less that
+    exceed TOL_PD skip _check_states; V m V^H is Hermitian to roundoff.
     """
     # V and V^H are contiguous, so the stacked matmul stays on BLAS.
-    rates, frame, frame_h, start_hat = (np.stack(p) for p in zip(*(s._frame for s in specs)))
+    rates, frame, frame_h, start_hat = (np.stack(p) for p in zip(*(s._frame[:4] for s in specs)))
+    gather = None if any(s._frame[4] is None for s in specs) else np.stack([s._frame[4] for s in specs])[:, None]
+    smallest = np.array([np.diagonal(s.start._frame[2]).min() / 2 for s in specs])[:, None]
     times = np.asarray(times, dtype=float)
     b, n = rates.shape
     size = max(1, _BLOCK_BYTES // (16 * b * n * n))
@@ -118,10 +136,13 @@ def _geodesic_blocks(specs, times):
         block = slice(lo, min(lo + size, len(times)))
         w = _exp_weights(rates, times[block])
         m = start_hat[:, None] * w[..., :, None] * w[..., None, :]
-        m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+        traces = np.trace(m, axis1=-2, axis2=-1).real
+        m /= traces[..., None, None]
         # Rebinding m frees the scaled S before the state check allocates.
-        m = frame[:, None] @ m @ frame_h[:, None]
-        yield block, _check_states(m)
+        m = frame[:, None] @ m @ frame_h[:, None] if gather is None else np.take_along_axis(
+            m.reshape(b, -1, n * n), gather, axis=-1).reshape(m.shape)
+        bound = smallest * w.min(axis=-1) ** 2 / traces - 64 * n * np.finfo(float).eps
+        yield block, _certify_states(hermitian_part(m), 0.0, bound) if bound.min() > TOL_PD else _check_states(m)
 
 
 def _geodesic_curves(specs, times) -> np.ndarray:

@@ -109,7 +109,8 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     if not _negligible(dev, TOL_HERM, a):
         raise NotHermitianError(dev)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum fails the caller's checks
-        return hermitian_part(a)
+        h = hermitian_part(a)
+    return a if dev == 0 and not np.isfinite(h).all() else h  # exactly Hermitian: a is its own Hermitian part
 
 
 def _unchecked(cls, **fields):
@@ -124,7 +125,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float) -> np.ndarray:
+def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float, lower: np.ndarray | None = None) -> np.ndarray:
     """Return the Hermitian stack ``h`` if every matrix is a state; else raise for the first.
 
     ``herm_dev`` is each matrix's max |A - A^H|: the scalar 0 for finite RK4
@@ -137,7 +138,8 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float) -> np.ndarray:
     array, since numpy keeps small buffers for the life of the process, and
     a caller holding a large allocation then finds its freed heap pinned.
 
-    Positivity is certified by one stacked Cholesky factorization of
+    Positivity is certified by ``lower``, lower bounds on the smallest
+    eigenvalues, where all exceed TOL_PD, else by one stacked Cholesky of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
     TOL_PD up to its backward error, about n eps ||h|| (1.4e-14 at n = 64).
     ``eigvalsh`` runs only when some check fails, on the matrices that passed
@@ -149,7 +151,8 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float) -> np.ndarray:
     worst_trace = max(abs(np.min(traces) - 1.0), abs(np.max(traces) - 1.0))
     if np.max(herm_dev) <= TOL_HERM and worst_trace <= TOL_TRACE:
         try:
-            np.linalg.cholesky(h - TOL_PD * np.eye(h.shape[-1]))
+            if lower is None or not np.min(lower) > TOL_PD:
+                np.linalg.cholesky(h - TOL_PD * np.eye(h.shape[-1]))
             return h
         except np.linalg.LinAlgError:
             pass
@@ -265,10 +268,11 @@ class TangentVector(_AttachedMatrix):
     def _sld(self) -> SldMatrix:
         """The SLD of this tangent at ``base``, computed on first use; see :func:`sld`."""
         v, v_h, sums = self.base._frame
-        lt = 2.0 * (v_h @ self.entries @ v) / sums
-        # Small eigenvalues amplify roundoff in the product; the exact result is
-        # Hermitian, so symmetrize it here rather than fail SldMatrix's check.
-        return SldMatrix(hermitian_part(v @ lt @ v_h), self.base)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite SLD fails SldMatrix's check
+            lt = 2.0 * (v_h @ self.entries @ v) / sums
+            # Small eigenvalues amplify roundoff in the product; the exact result is
+            # Hermitian, so symmetrize it here rather than fail SldMatrix's check.
+            return SldMatrix(hermitian_part(v @ lt @ v_h), self.base)
 
 
 @dataclass(frozen=True, eq=False)

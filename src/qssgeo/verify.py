@@ -246,7 +246,7 @@ def conjecture_probe(spec: GeodesicSpec) -> ConjectureProbeResult:
     large for a wrong coupling or frame.  Flow trajectories are geodesics,
     fixed by start and initial tangent, so this is the whole claim.
     """
-    c, v, _, _ = spec._frame
+    c, v, *_ = spec._frame
     # A phase makes det u = 1; it cancels in u^H rho0 u.
     u = v * np.linalg.det(v) ** (-1.0 / spec.dim)
     return ConjectureProbeResult(spec, CouplingSpectrum(c), u)

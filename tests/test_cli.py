@@ -467,8 +467,9 @@ def test_unreadable_path_is_usage_error(argv, tmp_path):
         # c_1 + c_1 overflows in the field itself, so 0 * inf makes it NaN
         ["eahle", "--rho0", "rho.json", "--c=1e308,0", "--t-end", "0.01", "--dt", "0.01"],
         ["geodesic", "--rho0", "rho.json", "--c=1e308,0", "--t-end", "0.01", "--dt", "0.01"],
-        # A + A^H overflows in the state check, the tangent check and, for the
-        # 1e200 tangent, the norms of eig_hermitian's reconstruction check
+        # A + A^H overflows in the state check and, for the 1e200 tangent, the
+        # norms of eig_hermitian's reconstruction check; the exactly Hermitian
+        # 1e308 tangent passes its check, and its SLD overflows
         ["eahle", "--rho0", "rho_huge.json", "--c", "1,0", "--t-end", "0.01", "--dt", "0.01"],
         ["geodesic", "--rho0", "rho.json", "--c=1e200,0", "--t-end", "0.01", "--dt", "0.01"],
         ["geodesic", "--rho0", "rho.json", "--x0", "x_huge.json", "--t-end", "0.01", "--dt", "0.01"],

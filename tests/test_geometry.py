@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qssgeo as q
-from qssgeo.qss import _unchecked, frobenius, hermitian_deviation
+from qssgeo import geometry, verify
+from qssgeo.qss import _check_states, _exp_weights, _unchecked, frobenius, hermitian_deviation
 
 # Agreement of transported tangents and SLDs, relative to their Frobenius scale.
 TOL_SLD = 1e-9
@@ -269,7 +270,7 @@ def test_geodesic_spec_shares_the_tangents_sld():
     x = q.random_tangent(rho, 6)
     spec = q.GeodesicSpec(rho, x)
     assert vars(x)["_sld"] is q.sld(rho, x)
-    rates, frame, _, _ = spec._frame
+    rates, frame, *_ = spec._frame
     lam, v = q.eig_hermitian(q.sld(rho, x).entries)
     assert np.array_equal(rates, 0.5 * lam) and np.array_equal(frame, v)
 
@@ -354,3 +355,76 @@ def test_transport_round_trip_at_small_eigenvalues(n, log_scale, log_smallest, s
     lam, mu = np.linalg.eigvalsh(rho.entries)[0], np.linalg.eigvalsh(rho2.entries)[0]
     bound = 4 * n * np.finfo(float).eps * frobenius(x.entries) / (lam * mu)
     assert frobenius(back.entries - x.entries) <= bound
+
+
+def _matmul_states(specs, times):
+    """(B, T, n, n): each spec's states by the two conjugating matmuls, through _check_states."""
+    out = []
+    for spec in specs:
+        rates, v, v_h, start_hat, _ = spec._frame
+        w = _exp_weights(rates, np.asarray(times, dtype=float))
+        m = start_hat * w[:, :, None] * w[:, None, :]
+        m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        out.append(_check_states(v @ m @ v_h))
+    return np.stack(out)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.floats(-2, 2),
+    times=st.lists(st.floats(-20, 20), min_size=1, max_size=6),
+)
+def test_geodesic_eigenvalue_bound_is_below_eigvalsh(n, seed, log_scale, times):
+    # With TOL_PD at -inf every block takes the bound path, where the spy
+    # keeps each state with its bound, margin already taken off.
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "TOL_PD", -np.inf)
+        mp.setattr(geometry, "_certify_states", lambda h, dev, lower: seen.append((h, lower)) or h)
+        spec = q.random_geodesic_spec(n, seed, sld_scale=10.0**log_scale)
+        list(geometry._geodesic_blocks([spec], times))
+    assert sum(lower.size for _, lower in seen) == len(times)
+    for h, lower in seen:
+        assert (lower <= np.linalg.eigvalsh(h)[..., 0]).all()
+
+
+def test_state_the_bound_cannot_certify_takes_the_state_check():
+    # From diag(1e-9, 1 - 1e-9) along c = (1, 0), at t = 7 ln 10 the weights
+    # are (1, 1e-7): the bound is about 1e-9 * 1e-14 / 1e-9, below TOL_PD,
+    # while the state's smallest eigenvalue is about 1e-5.
+    rho = q.DensityMatrix(np.diag([1e-9, 1 - 1e-9]))
+    spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, q.CouplingSpectrum([1.0, 0.0])))
+    times = [7 * np.log(10)]
+    checked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_check_states", lambda a: checked.append(a) or _check_states(a))
+        states = geometry._geodesic_curves([spec], times)
+    assert len(checked) == 1
+    assert np.linalg.eigvalsh(states[0, 0])[0] > 1e-6
+    assert states.tobytes() == _matmul_states([spec], times).tobytes()
+
+
+def test_sphere_specs_take_the_gather_and_mixed_batches_the_matmul(monkeypatch):
+    batches = []
+    blocks = verify._geodesic_blocks
+    monkeypatch.setattr(verify, "_geodesic_blocks", lambda specs, t: batches.append(specs) or blocks(specs, t))
+    # the specs do not depend on the grid; a one-step suite draws the same ones
+    verify.run_suite((2, 3, 4, 8), 5, seed=7, t_end=0.01, dt=0.01)
+    flows, spheres = batches[0::2], batches[1::2]
+    assert [len(b) for b in spheres] == [5] * 4
+    assert all(s._frame[4] is None for b in flows for s in b)
+    gathers = []
+    take = np.take_along_axis
+    monkeypatch.setattr(np, "take_along_axis", lambda *a, **k: gathers.append(1) or take(*a, **k))
+    times = [-1.0, 0.0, 0.5, 1.0, 3.0]
+    for specs in spheres:
+        # every case, the tied couplings of case 4 included, has a permutation frame
+        assert all(s._frame[4] is not None for s in specs)
+        assert geometry._geodesic_curves(specs, times).tobytes() == _matmul_states(specs, times).tobytes()
+    assert len(gathers) == len(spheres)
+    mixed = spheres[0][:2] + flows[0][:1]
+    states = geometry._geodesic_curves(mixed, times)
+    assert len(gathers) == len(spheres)
+    assert states[:2].tobytes() == _matmul_states(mixed[:2], times).tobytes()
