@@ -46,7 +46,6 @@ from .qss import (
     DensityMatrix,
     TangentVector,
     _certify_states,
-    _check_states,
     _exp_weights,
     _freeze,
     _unchecked,
@@ -248,13 +247,6 @@ def _step_schedule(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return steps, times
 
 
-def _certify_block(y: np.ndarray) -> np.ndarray:
-    # Finite RK4 states are exactly Hermitian (see _integrate_batch); others are measured.
-    if np.isfinite(y).all():
-        return _certify_states(y, 0.0)
-    return _check_states(y)
-
-
 def _mapped_empty(shape, dtype) -> np.ndarray:
     """An uninitialized array in an anonymous memory mapping of its own.
 
@@ -287,7 +279,8 @@ def _integrate_batch(rhs, normalize, certify, y0: np.ndarray, c: np.ndarray, t_e
     would raise if run one after another.  A matrix ``y0`` is exactly
     Hermitian, as ``DensityMatrix`` entries are.  The matrix field scales
     entry jk by the real c_j + c_k - 2 Tr(C rho), and rounding is
-    sign-symmetric, so the states stay exactly Hermitian while finite.
+    sign-symmetric, so the states stay exactly Hermitian while finite, as
+    ``_certify_states`` assumes when it is given no deviations.
     """
     steps, times = _step_schedule(t_end, dt)
     out = _mapped_empty((len(y0), len(times)) + y0.shape[1:], y0.dtype)
@@ -330,7 +323,7 @@ def _eahle_integrate_batch(rho0: np.ndarray, c: np.ndarray, t_end: float, dt: fl
     positive-definiteness raises :class:`StepTooLargeError` with its time.
     """
     normalize = lambda y: y / np.trace(y, axis1=-2, axis2=-1).real[:, None, None]
-    return _integrate_batch(_eahle_rhs, normalize, _certify_block, rho0, c, t_end, dt)
+    return _integrate_batch(_eahle_rhs, normalize, _certify_states, rho0, c, t_end, dt)
 
 
 def _ahle_integrate_batch(w0: np.ndarray, c: np.ndarray, t_end: float, dt: float):

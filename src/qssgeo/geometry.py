@@ -25,12 +25,10 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidStepError
 from .qss import (
     _BLOCK_BYTES,
-    TOL_PD,
     DensityMatrix,
     SldMatrix,
     TangentVector,
     _certify_states,
-    _check_states,
     _check_traceless,
     _exp_weights,
     _freeze,
@@ -123,7 +121,8 @@ def _geodesic_blocks(specs, times):
     eigvalsh, 2 n^1.5 u in each of S and V m V^H (products with a factor of
     Frobenius norm sqrt n), (n + 3) u in m and O(n u) from V^H V - I: below
     64 n eps to n = 900 (measured: 3.04 eps).  Blocks whose bounds less that
-    exceed TOL_PD skip _check_states; V m V^H is Hermitian to roundoff.
+    exceed TOL_PD skip the Cholesky; V m V^H is Hermitian to roundoff, and
+    finite: one weight is 1, so Tr >= lambda_min(rho0) and |m_jk| <= 1 / Tr.
     """
     # V and V^H are contiguous, so the stacked matmul stays on BLAS.
     rates, frame, frame_h, start_hat = (np.stack(p) for p in zip(*(s._frame[:4] for s in specs)))
@@ -142,7 +141,7 @@ def _geodesic_blocks(specs, times):
         m = frame[:, None] @ m @ frame_h[:, None] if gather is None else np.take_along_axis(
             m.reshape(b, -1, n * n), gather, axis=-1).reshape(m.shape)
         bound = smallest * w.min(axis=-1) ** 2 / traces - 64 * n * np.finfo(float).eps
-        yield block, _certify_states(hermitian_part(m), 0.0, bound) if bound.min() > TOL_PD else _check_states(m)
+        yield block, _certify_states(hermitian_part(m), lower=bound)
 
 
 def _geodesic_curves(specs, times) -> np.ndarray:

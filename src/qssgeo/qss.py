@@ -125,13 +125,13 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float, lower: np.ndarray | None = None) -> np.ndarray:
+def _certify_states(h: np.ndarray, herm_dev: np.ndarray | None = None, lower: np.ndarray | None = None) -> np.ndarray:
     """Return the Hermitian stack ``h`` if every matrix is a state; else raise for the first.
 
-    ``herm_dev`` is each matrix's max |A - A^H|: the scalar 0 for finite RK4
-    states, which are exactly Hermitian, else measured by :func:`_check_states`.
-    The error is :class:`DensityMatrix`'s for the first failing one in C order,
-    with its ``position``.
+    ``herm_dev`` is each matrix's max |A - A^H|, from :func:`_check_states`
+    for outside input; None means ``h`` is exactly Hermitian where finite:
+    each is 0, or NaN if not finite.  The error is :class:`DensityMatrix`'s
+    for the first failing one in C order, with its ``position``.
 
     The passing case reduces the deviations to their extremes; |t - 1| is
     largest at the smallest or largest trace t.  It forms no per-matrix
@@ -142,24 +142,29 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float, lower: np.ndarr
     eigenvalues, where all exceed TOL_PD, else by one stacked Cholesky of
     h - TOL_PD I, which succeeds only if every smallest eigenvalue exceeds
     TOL_PD up to its backward error, about n eps ||h|| (1.4e-14 at n = 64).
-    ``eigvalsh`` runs only when some check fails, on the matrices that passed
-    the Hermitian and trace checks, which are finite: it locates the first
-    failing matrix, reports its smallest eigenvalue, and accepts a stack that
-    Cholesky rejected within that roundoff band.
+    Cholesky returns NaN for a non-finite matrix, not an error, so a
+    finiteness screen precedes it; a conclusive ``lower`` skips both.
+    ``eigvalsh`` runs only when some check fails, on the finite matrices that
+    passed the Hermitian and trace checks: it locates the first failing
+    matrix, reports its smallest eigenvalue (NaN if not finite), and accepts
+    a stack that Cholesky rejected within that roundoff band.
     """
     traces = np.trace(h, axis1=-2, axis2=-1).real
     worst_trace = max(abs(np.min(traces) - 1.0), abs(np.max(traces) - 1.0))
-    if np.max(herm_dev) <= TOL_HERM and worst_trace <= TOL_TRACE:
+    if (herm_dev is None or np.max(herm_dev) <= TOL_HERM) and worst_trace <= TOL_TRACE:
         try:
             if lower is None or not np.min(lower) > TOL_PD:
+                if not np.isfinite(h).all():
+                    raise np.linalg.LinAlgError
                 np.linalg.cholesky(h - TOL_PD * np.eye(h.shape[-1]))
             return h
         except np.linalg.LinAlgError:
             pass
-    herm_dev = np.broadcast_to(herm_dev, np.shape(traces))
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    herm_dev = np.where(finite, 0.0, np.nan) if herm_dev is None else herm_dev
     trace_dev = np.abs(traces - 1.0)
-    fine = (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE)
-    smallest = np.zeros(fine.shape)
+    fine = finite & (herm_dev <= TOL_HERM) & (trace_dev <= TOL_TRACE)
+    smallest = np.full(fine.shape, np.nan)
     smallest[fine] = np.linalg.eigvalsh(h[fine])[..., 0]
     ok = fine & (smallest > TOL_PD)
     if ok.all():
@@ -178,7 +183,8 @@ def _certify_states(h: np.ndarray, herm_dev: np.ndarray | float, lower: np.ndarr
 def _check_states(a: np.ndarray) -> np.ndarray:
     """Check the three state invariants on a matrix or every matrix of a (..., n, n) stack.
 
-    Returns the symmetrized stack or raises as :func:`_certify_states` does.
+    Measures each matrix's Hermitian deviation, for outside input; returns
+    the symmetrized stack or raises as :func:`_certify_states` does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -364,6 +365,32 @@ def test_decomposition_failure_is_numerical_error(tmp_path, monkeypatch, capsys)
     assert main(["geodesic", "--rho0", str(rho_path), "--c", "1,0", "--t-end", "0.01"]) == 3
     err = capsys.readouterr().err
     assert err == "numerical error: Eigenvalues did not converge\n"
+
+
+def test_trajectory_the_system_cannot_map_is_usage_error(tmp_path, monkeypatch, capsys):
+    # the mapping fails as it does when the system refuses one; none is made
+    def refuse(*args):
+        raise OSError(12, "Cannot allocate memory")
+
+    rho_path = tmp_path / "rho.json"
+    io.save_matrix(str(rho_path), np.eye(2) / 2)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    rho, c = qssgeo.DensityMatrix(np.eye(2) / 2), qssgeo.CouplingSpectrum([1.0, 0.0])
+    with pytest.raises(MemoryError, match="cannot map 404 entries of complex128"):
+        qssgeo.eahle_integrate(rho, c, 1.0, 0.01)
+    assert main(["eahle", "--rho0", str(rho_path), "--c", "1,0", "--t-end", "0.01"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: out of memory: cannot map ")
+    assert len(err.splitlines()) == 1
+
+
+def test_start_that_overflows_when_symmetrized_is_numerical_error(tmp_path, capsys):
+    # exactly Hermitian with unit trace; its Hermitian part is not finite
+    rho_path = tmp_path / "rho.json"
+    io.save_matrix(str(rho_path), np.array([[0.5, 1e308], [1e308, 0.5]]))
+    assert main(["eahle", "--rho0", str(rho_path), "--c", "1,0", "--t-end", "0.01"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "numerical error: matrix is not positive definite: smallest eigenvalue = nan\n")
 
 
 def test_run_config_is_usable_directly(tmp_path):

@@ -377,12 +377,10 @@ def _matmul_states(specs, times):
     times=st.lists(st.floats(-20, 20), min_size=1, max_size=6),
 )
 def test_geodesic_eigenvalue_bound_is_below_eigvalsh(n, seed, log_scale, times):
-    # With TOL_PD at -inf every block takes the bound path, where the spy
-    # keeps each state with its bound, margin already taken off.
+    # The spy keeps each state with its bound, margin already taken off.
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "TOL_PD", -np.inf)
-        mp.setattr(geometry, "_certify_states", lambda h, dev, lower: seen.append((h, lower)) or h)
+        mp.setattr(geometry, "_certify_states", lambda h, lower: seen.append((h, lower)) or h)
         spec = q.random_geodesic_spec(n, seed, sld_scale=10.0**log_scale)
         list(geometry._geodesic_blocks([spec], times))
     assert sum(lower.size for _, lower in seen) == len(times)
@@ -397,9 +395,9 @@ def test_state_the_bound_cannot_certify_takes_the_state_check():
     rho = q.DensityMatrix(np.diag([1e-9, 1 - 1e-9]))
     spec = q.GeodesicSpec(rho, q.hebbian_initial_tangent(rho, q.CouplingSpectrum([1.0, 0.0])))
     times = [7 * np.log(10)]
-    checked = []
+    checked, cholesky = [], np.linalg.cholesky
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_check_states", lambda a: checked.append(a) or _check_states(a))
+        mp.setattr(np.linalg, "cholesky", lambda a: checked.append(a) or cholesky(a))
         states = geometry._geodesic_curves([spec], times)
     assert len(checked) == 1
     assert np.linalg.eigvalsh(states[0, 0])[0] > 1e-6

@@ -170,18 +170,94 @@ def test_check_states_stack_fails_as_first_matrix(names):
     ids="-".join,
 )
 def test_certify_states_with_zero_deviation_matches_check_states(names):
-    # RK4 blocks are exactly Hermitian and pass the scalar 0 as every deviation
+    # RK4 blocks are exactly Hermitian and pass no deviations
     a = np.stack([_MATRICES[name] for name in names])
     try:
         expected = _check_states(a)
     except q.QssError as exc:
         expected = exc
     if isinstance(expected, np.ndarray):
-        np.testing.assert_array_equal(_certify_states(a, 0.0), expected)
+        np.testing.assert_array_equal(_certify_states(a), expected)
         return
     with pytest.raises(q.QssError) as exc:
-        _certify_states(a, 0.0)
+        _certify_states(a)
     assert type(exc.value) is type(expected)
+    assert repr(vars(exc.value)) == repr(vars(expected))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [9e307, 1e308, 1.7e308])
+def test_density_matrix_rejects_entries_that_overflow_when_symmetrized(x):
+    # exactly Hermitian with unit trace, so its deviation is 0, but A + A^H
+    # overflows: the symmetrized matrix is not finite and no state
+    with pytest.raises(q.NotPositiveDefiniteError) as exc:
+        q.DensityMatrix([[0.5, x], [x, 0.5]])
+    assert np.isnan(exc.value.min_eigenvalue)
+    assert exc.value.position == ()
+
+
+# Off-diagonal pairs v, conj(v) that keep a matrix exactly Hermitian.
+_NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, np.nan)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+def test_certify_states_rejects_a_non_finite_matrix_it_is_given_no_deviation_for(n, value):
+    # numpy's stacked Cholesky returned NaN, not LinAlgError, for all 420
+    # such stacks tried (each off-diagonal pair at n = 2..8, each value
+    # here), so a state check must screen for finiteness itself
+    a = np.stack([np.eye(n, dtype=complex) / n] * 4)
+    a[2, 0, n - 1], a[2, n - 1, 0] = value, np.conj(value)
+    for stack, position in ((a, (2,)), (a.reshape(2, 2, n, n), (1, 0))):
+        with pytest.raises(q.NotHermitianError) as exc:
+            _certify_states(stack)
+        assert np.isnan(exc.value.deviation)
+        assert exc.value.position == position
+
+
+@st.composite
+def _exact_hermitian_stacks(draw):
+    """(B, n, n) exactly Hermitian stacks: states, some with trace drift, a smallest
+    eigenvalue near TOL_PD or a non-finite off-diagonal pair."""
+    kinds = draw(st.lists(st.sampled_from(["state", "drift", "singular", "non_finite"]), min_size=1, max_size=6))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(len(kinds), n, n)) + 1j * rng.normal(size=(len(kinds), n, n))
+    v = np.linalg.qr(g)[0]
+    theta = rng.uniform(0.1, 1.0, size=(len(kinds), n))
+    theta /= theta.sum(axis=-1, keepdims=True)
+    for k, kind in enumerate(kinds):
+        if kind == "singular":  # within a factor 100 of TOL_PD, of either sign
+            theta[k, 0] = draw(st.sampled_from([-1, 1])) * q.TOL_PD * 10.0 ** draw(st.floats(-2, 2))
+            theta[k, 1:] *= (1 - theta[k, 0]) / theta[k, 1:].sum()
+        elif kind == "drift":  # |Tr - 1| from 1e-12 to 1e-8, across TOL_TRACE
+            theta[k] *= 1 + draw(st.sampled_from([-1, 1])) * 10.0 ** draw(st.floats(-12, -8))
+    h = hermitian_part((v * theta[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    for k, kind in enumerate(kinds):
+        if kind == "non_finite":
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            value = draw(st.sampled_from(_NON_FINITE))
+            h[k, i, j], h[k, j, i] = value, np.conj(value)
+    return h
+
+
+@settings(max_examples=150, deadline=1000)
+@given(h=_exact_hermitian_stacks())
+def test_certify_states_without_deviations_matches_check_states(h):
+    # on exactly Hermitian stacks, measuring the deviations changes nothing:
+    # the same bits, or the same error with the same fields and position
+    try:
+        expected = _check_states(h)
+    except q.QssError as exc:
+        expected = exc
+    if isinstance(expected, np.ndarray):
+        assert _certify_states(h).tobytes() == expected.tobytes()
+        return
+    with pytest.raises(q.QssError) as exc:
+        _certify_states(h)
+    assert type(exc.value) is type(expected)
+    assert str(exc.value) == str(expected)
     assert repr(vars(exc.value)) == repr(vars(expected))
 
 
