@@ -110,7 +110,7 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
         raise NotHermitianError(dev)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum fails the caller's checks
         h = hermitian_part(a)
-    return a if dev == 0 and not np.isfinite(h).all() else h  # exactly Hermitian: a is its own Hermitian part
+    return a.copy() if dev == 0 and not np.isfinite(h).all() else h  # exactly Hermitian: a is its own Hermitian part
 
 
 def _unchecked(cls, **fields):
@@ -233,7 +233,7 @@ class DensityMatrix:
         return np.array_equal(self.entries, other.entries)
 
     def __hash__(self) -> int:
-        return hash(self.entries.tobytes())
+        return hash((self.entries + 0j).tobytes())  # -0 + 0 is +0: equal states hash alike
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,8 +52,8 @@ class VerificationReport:
     tolerance: float
 
     def __post_init__(self):
-        grid = np.asarray(self.time_grid, dtype=float)
-        devs = np.asarray(self.per_time_deviation, dtype=float)
+        grid = np.array(self.time_grid, dtype=float)
+        devs = np.array(self.per_time_deviation, dtype=float)
         if grid.shape != devs.shape:
             raise ValueError("per_time_deviation must match time_grid in length")
         object.__setattr__(self, "time_grid", _freeze(grid))

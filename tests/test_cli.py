@@ -4,6 +4,7 @@ import argparse
 import json
 import mmap
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -353,6 +354,17 @@ def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
         assert out == "" and len(err.strip().splitlines()) == 1, cls.__name__
         prefix = "error: " if code == 2 else "numerical error: "
         assert err == f"{prefix}{error}\n", cls.__name__
+
+
+def test_every_error_class_pickles_as_itself():
+    # a worker process hands its error back pickled: args rebuild it
+    for cls, (_, args) in _ERROR_EXITS.items():
+        error = cls(*args)
+        error.position = (1, 0)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls, cls.__name__
+        assert copy.args == args and str(copy) == str(error), cls.__name__
+        assert vars(copy) == vars(error), cls.__name__
 
 
 def test_decomposition_failure_is_numerical_error(tmp_path, monkeypatch, capsys):

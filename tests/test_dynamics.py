@@ -1,6 +1,8 @@
 """Tests for the learning flows, their closed forms, and the chart maps."""
 
+import multiprocessing
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +106,17 @@ def test_integrate_step_too_large():
     rho = q.DensityMatrix(np.diag([0.999, 0.001]))
     with pytest.raises(q.StepTooLargeError) as exc:
         q.eahle_integrate(rho, coupling(8.0, -8.0), 3.0, 0.5)
+    assert exc.value.time == 0.5
+    assert exc.value.min_eigenvalue < 0
+    assert str(exc.value).endswith("reduce the step size")
+
+
+def test_step_too_large_error_reaches_the_caller_of_a_worker_process():
+    rho = q.DensityMatrix(np.diag([0.999, 0.001]))
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        future = pool.submit(q.eahle_integrate, rho, coupling(8.0, -8.0), 3.0, 0.5)
+        with pytest.raises(q.StepTooLargeError) as exc:
+            future.result()
     assert exc.value.time == 0.5
     assert exc.value.min_eigenvalue < 0
     assert str(exc.value).endswith("reduce the step size")

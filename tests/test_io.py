@@ -300,7 +300,7 @@ def report(case_id, grid, devs):
 def test_reports_json_matches_json_dumps():
     grid = np.array([0.0, 0.5, 1.0])
     shared = [report("a", grid, [0.0, 1e-9, 2e-9]), report("b", grid, [0.0, 3e-9, 1e-7])]
-    assert shared[0].time_grid is shared[1].time_grid
+    assert shared[0].time_grid is not shared[1].time_grid  # each report keeps its own copy of the caller's grid
     distinct = [report("c", grid.copy(), [0.0, 1e-9, 2e-9]), report("d", np.array([0.0, 2.0]), [0.0, 1.0])]
     non_finite = [report("nan", grid, [0.0, np.nan, 1.0]), report("inf", grid, [np.inf, -np.inf, 0.0])]
     assert not non_finite[0].passed and math.isnan(non_finite[0].max_deviation)

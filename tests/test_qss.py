@@ -1,5 +1,6 @@
 """Tests for states, tangents, the SLD map, and the Fisher metric."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -510,6 +511,48 @@ def test_density_matrix_immutable():
     rho = q.random_density(2, 1)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 9.0
+
+
+def test_value_classes_leave_the_arrays_they_are_given_alone():
+    # a value keeps a read-only copy; freezing the caller's array would break
+    # the caller's later writes, and an exactly Hermitian tangent whose
+    # Hermitian part overflows is kept as given
+    rho = q.DensityMatrix(np.eye(2) / 2)
+    spec = q.GeodesicSpec(rho, q.TangentVector(np.diag([0.1, -0.1]), rho))
+    huge = np.diag([1e308, -1e308]).astype(complex)
+    builds = [
+        (q.DensityMatrix, [np.diag([0.75, 0.25]).astype(complex)]),
+        (lambda a: q.TangentVector(a, rho), [huge.copy()]),
+        (lambda a: q.SldMatrix(a, rho), [huge.copy()]),
+        (q.CouplingSpectrum, [np.array([1.0, -1.0])]),
+        (q.SphereVector, [np.array([0.6, 0.8])]),
+        (q.SignVector, [np.array([1.0, -1.0])]),
+        (q.SimplexPoint, [np.array([0.25, 0.75])]),
+        (lambda g, d: q.VerificationReport("x", 2, 0, g, d, 1e-6), [np.array([0.0, 1.0]), np.array([0.0, 1e-9])]),
+        (lambda u: q.ConjectureProbeResult(spec, q.CouplingSpectrum([1.0, -1.0]), u), [np.eye(2, dtype=complex)]),
+    ]
+    for build, arrays in builds:
+        before = [a.copy() for a in arrays]
+        build(*arrays)
+        for a, b in zip(arrays, before):
+            assert a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+
+
+def test_equal_states_hash_alike():
+    # equality ignores the sign of a zero entry, so the hash must too
+    plain = q.DensityMatrix(np.diag([0.5, 0.5]))
+    zeros = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3)]  # the zero parts, in a (2, 4) float view
+    states = []
+    for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+        a = np.diag([0.5, 0.5]).astype(complex)
+        for (i, j), zero in zip(zeros, signs):
+            a.view(float)[i, j] = zero
+        states.append(q.DensityMatrix(a))
+    assert all(s == plain and hash(s) == hash(plain) for s in states)
+    assert len({plain, *states}) == 1
+    assert plain.__eq__(plain.entries) is NotImplemented
+    assert plain != plain.entries.tolist()
 
 
 @pytest.mark.filterwarnings("error")
